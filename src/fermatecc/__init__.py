@@ -4,6 +4,7 @@ mechanical verification of their comparison inequalities."""
 from .errors import (
     ConnectivityError,
     GraphError,
+    InternalError,
     ParseError,
     PreconditionError,
     ValidationError,

@@ -37,6 +37,13 @@ class UsageError(Exception):
     pass
 
 
+def _thread_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _read_graph(path: str) -> Graph:
     try:
         with open(path, "rb") as fh:
@@ -249,7 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument(
+            "--threads",
+            type=_thread_count,
+            default=os.cpu_count() or 1,
+            help="accepted for compatibility and ignored: every computation is single-threaded",
+        )
 
     p = sub.add_parser("compute", help="index report for one graph file")
     p.add_argument("--input", required=True, help="edge-list file (or .g6 for graph6)")

@@ -19,3 +19,7 @@ class ConnectivityError(GraphError):
 
 class PreconditionError(GraphError):
     """A check was called on data violating its stated precondition."""
+
+
+class InternalError(GraphError):
+    """An internal invariant failed: a bug in fermatecc, not bad input."""

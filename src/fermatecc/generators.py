@@ -455,8 +455,10 @@ def decorate_tree(t: Graph, d: np.ndarray | None = None) -> TreeDecoration:
     if tuple(reversed(pth)) < tuple(pth):
         pth.reverse()
     dlen = len(pth) - 1
-    assert dlen == ecc.diameter
-    assert all(c in pth for c in ecc.center)
+    if dlen != ecc.diameter:
+        raise PreconditionError(f"double BFS path has length {dlen}, diameter is {ecc.diameter}")
+    if not all(c in pth for c in ecc.center):
+        raise PreconditionError("the diametral path misses a center vertex")
 
     on_path = {v: i for i, v in enumerate(pth)}
     membership = [-1] * n

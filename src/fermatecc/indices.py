@@ -80,7 +80,10 @@ def compare_averages(n: int, m: int, f1: int, f2: int) -> Comparison:
 
 
 def full_report(g: Graph, threads: int = 1) -> IndexReport:
-    """All six indices plus the comparison, via the fastest valid eps3 path."""
+    """All six indices plus the comparison, via the fastest valid eps3 path.
+
+    threads is accepted for compatibility and ignored.
+    """
     d = all_pairs_distances(g)
     profile = eps3_profile(g, d, threads=threads)
     f1, f2 = zagreb_fermat(g, profile)

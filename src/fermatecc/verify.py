@@ -311,7 +311,8 @@ def search_counterexample(
     Positive instances violate the tree/unicyclic inequality direction,
     negative ones violate its opposite.  Deterministic per (strategy,
     budget, seed).  complete=False flags an exhausted budget before both
-    directions were seen.
+    directions were seen.  threads is accepted for compatibility and
+    ignored.
     """
     if strategy not in SEARCH_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {SEARCH_STRATEGIES}")

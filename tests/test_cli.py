@@ -179,3 +179,20 @@ def test_cli_search_byte_identical_per_seed():
     a = run_cli("search", "random-walk", "--budget", "25", "--seed", "7")
     b = run_cli("search", "random-walk", "--budget", "25", "--seed", "7")
     assert a == b
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_threads_must_be_a_positive_integer(p4_file, value, capsys):
+    assert main(["compute", "--input", p4_file, f"--threads={value}"]) == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_internal_error_exit_code(p4_file, monkeypatch, capsys):
+    import fermatecc.cli as cli
+
+    def broken(g, threads=1):
+        raise fe.InternalError("invariant failed")
+
+    monkeypatch.setattr(cli, "full_report", broken)
+    assert main(["compute", "--input", p4_file]) == 5
+    assert "invariant failed" in capsys.readouterr().err

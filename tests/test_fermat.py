@@ -5,6 +5,8 @@ import pytest
 
 import fermatecc as fe
 from fermatecc import (
+    ConnectivityError,
+    InternalError,
     PreconditionError,
     all_pairs_distances,
     eps3_oracle,
@@ -14,6 +16,7 @@ from fermatecc import (
     fermat_distance,
     fermat_vertices,
 )
+from fermatecc.fermat import _lex_witness, _pair_bounds
 
 
 def test_fermat_distance_path():
@@ -145,3 +148,72 @@ def test_eps3_profile_dispatch():
     assert eps3_profile(t).eps3 == eps3_oracle(t).eps3
     c = fe.cycle(9)
     assert eps3_profile(c).eps3 == eps3_oracle(c).eps3
+
+
+@pytest.mark.parametrize("distinct_pairs", [False, True])
+@pytest.mark.parametrize("n", range(4, 8))
+def test_pruned_agrees_on_bicyclic(n, distinct_pairs):
+    for g in fe.enumerate_bicyclic(n):
+        d = all_pairs_distances(g)
+        ref = eps3_oracle(g, d, distinct_pairs=distinct_pairs).eps3
+        assert eps3_pruned(g, d, distinct_pairs=distinct_pairs).eps3 == ref, fe.to_graph6(g)
+
+
+@pytest.mark.parametrize("distinct_pairs", [False, True])
+def test_pruned_agrees_on_named_multicyclic(distinct_pairs):
+    graphs = [fe.dumbbell(c1, c2, b, p1, p2) for c1, c2, b, p1, p2 in
+              [(3, 3, 0, 0, 0), (3, 4, 1, 0, 0), (4, 5, 2, 1, 0), (3, 6, 3, 2, 2)]]
+    graphs += [fe.theta(a, b, c) for a, b, c in [(1, 2, 2), (2, 2, 2), (2, 3, 5), (1, 4, 6)]]
+    graphs += [fe.two_cycles_with_tail(c1, c2, b, t) for c1, c2, b, t in
+               [(3, 3, 2, 0), (3, 4, 2, 3), (4, 4, 4, 2), (5, 3, 6, 5)]]
+    for g in graphs:
+        d = all_pairs_distances(g)
+        ref = eps3_oracle(g, d, distinct_pairs=distinct_pairs)
+        got = eps3_pruned(g, d, distinct_pairs=distinct_pairs)
+        assert got.eps3 == ref.eps3, fe.to_graph6(g)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_pruned_agrees_with_small_blocks(block, monkeypatch):
+    # graphs this small rarely leave more than one block of open pairs;
+    # shrinking the block runs the later blocks and the re-filtering
+    monkeypatch.setattr(fe.fermat, "_BLOCK", block)
+    for distinct_pairs in (False, True):
+        for seed in range(100):
+            g = fe.random_connected(5 + seed % 20, seed=seed, extra_edges=seed % 9)
+            d = all_pairs_distances(g)
+            ref = eps3_oracle(g, d, distinct_pairs=distinct_pairs).eps3
+            assert eps3_pruned(g, d, distinct_pairs=distinct_pairs).eps3 == ref, seed
+
+
+def test_pruned_tiny_graphs():
+    one = fe.make_graph(1, [])
+    two = fe.path(2)
+    for distinct_pairs in (False, True):
+        for g in (one, two):
+            ref = eps3_oracle(g, distinct_pairs=distinct_pairs).eps3
+            assert eps3_pruned(g, distinct_pairs=distinct_pairs).eps3 == ref
+    assert eps3_pruned(two, witnesses=True).witnesses == eps3_oracle(two, witnesses=True).witnesses
+
+
+def test_pruned_pair_evaluations_repeat_exactly():
+    g = fe.random_connected(60, seed=4, extra_edges=12)
+    d = all_pairs_distances(g)
+    first = eps3_pruned(g, d)
+    second = eps3_pruned(g, d)
+    assert first.pair_evaluations == second.pair_evaluations
+    assert first.pair_evaluations > 0
+
+
+def test_pruned_rejects_disconnected_graph():
+    g = fe.make_graph(4, [(0, 1), (2, 3)], strict=False)
+    with pytest.raises(ConnectivityError):
+        eps3_pruned(g, all_pairs_distances(fe.path(4)))
+
+
+def test_lex_witness_raises_internal_error():
+    d = all_pairs_distances(fe.cycle(5))
+    lb, ub = _pair_bounds(d, 0)
+    # eps3 on C5 is 4; no pair reaches 9, so the search must fail loudly
+    with pytest.raises(InternalError):
+        _lex_witness(d, 0, 9, lb, ub, False)

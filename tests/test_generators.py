@@ -212,6 +212,13 @@ def test_decorate_membership_additive():
         assert d[u, p[0]] == d[u, root] + d[root, p[0]]
 
 
+def test_decorate_rejects_inconsistent_distances():
+    t = fe.path(5)
+    # a matrix that is not the tree's own: its diameter disagrees with the BFS path
+    with pytest.raises(fe.PreconditionError):
+        decorate_tree(t, fe.all_pairs_distances(t) * 2)
+
+
 def test_decorate_rejects_cycles():
     with pytest.raises(fe.PreconditionError):
         decorate_tree(fe.cycle(4))

@@ -67,6 +67,14 @@ def test_pruned_matches_oracle(g):
     assert fe.eps3_pruned(g, d).eps3 == eps3_oracle(g, d).eps3
 
 
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(), st.booleans())
+def test_pruned_matches_oracle_both_pair_modes(g, distinct_pairs):
+    d = all_pairs_distances(g)
+    got = fe.eps3_pruned(g, d, distinct_pairs=distinct_pairs).eps3
+    assert got == eps3_oracle(g, d, distinct_pairs=distinct_pairs).eps3
+
+
 @settings(max_examples=40, deadline=None)
 @given(connected_graphs(max_n=11))
 def test_distinct_pair_variant_dominated(g):
