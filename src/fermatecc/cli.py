@@ -2,7 +2,8 @@
 
 Subcommands: compute, verify, formula, search.  Exit codes:
 0 success/verified, 1 verification failure (witness written), 2 usage,
-3 parse/validation, 4 incomplete search, 5 internal error.
+3 parse/validation (and an edgeless graph, which has no comparison),
+4 incomplete search, 5 internal error.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import os
 import sys
 
-from .errors import ConnectivityError, GraphError, ParseError, ValidationError
+from .errors import ConnectivityError, GraphError, ParseError, PreconditionError, ValidationError
 from .generators import (
     FREE_TREE_CAP,
     UNICYCLIC_CAP,
@@ -51,7 +52,10 @@ def _read_graph(path: str) -> Graph:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     if path.endswith((".g6", ".graph6")):
-        return from_graph6(data.splitlines()[0] if data else b"")
+        lines = [line for line in data.splitlines() if line.strip()]
+        if len(lines) > 1:
+            raise ParseError(f"{path} holds {len(lines)} graphs; expected one")
+        return from_graph6(lines[0] if lines else b"")
     return parse_edge_list(data.decode("utf-8"))
 
 
@@ -168,7 +172,7 @@ def _write_witnesses(summary: SweepSummary, witness_dir: str) -> None:
 
 def cmd_compute(args) -> int:
     g = _read_graph(args.input)
-    rep = full_report(g, threads=args.threads)
+    rep = full_report(g)
     name = os.path.splitext(os.path.basename(args.input))[0]
     if args.format == "json":
         _emit(json.dumps(_report_dict(rep), sort_keys=True) + "\n", args.output)
@@ -233,7 +237,6 @@ def cmd_search(args) -> int:
         budget=args.budget,
         seed=args.seed,
         max_n=args.max_n,
-        threads=args.threads,
     )
     if args.witness_dir:
         _write_witnesses(summary, args.witness_dir)
@@ -304,7 +307,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, ValidationError, ConnectivityError) as exc:
+    except (ParseError, ValidationError, ConnectivityError, PreconditionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:

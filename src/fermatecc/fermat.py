@@ -144,7 +144,6 @@ def eps3_pruned(
     d: np.ndarray | None = None,
     witnesses: bool = False,
     distinct_pairs: bool = False,
-    threads: int = 1,
 ) -> FermatProfile:
     """Bound-pruned computation; value-identical to eps3_oracle.
 
@@ -158,12 +157,12 @@ def eps3_pruned(
     exactly in blocks of _BLOCK, highest lower bound first; after a
     block raises the maximum the rest are filtered again.
     pair_evaluations counts every pair of every evaluated block.
-    threads is accepted for compatibility and ignored: the parent seed
-    makes the visit sequential.
     """
     if d is None:
         d = all_pairs_distances(g)
     n = g.n
+    # as in eps3_oracle: one vertex has no distinct pair, so (0, 0) counts
+    distinct_pairs = distinct_pairs and n >= 2
     order, parent = _bfs_tree(g)
     if len(order) < n:
         raise ConnectivityError("eps3_pruned requires a connected graph")
@@ -260,13 +259,10 @@ def eps3_tree(g: Graph, d: np.ndarray | None = None, witnesses: bool = False) ->
     return FermatProfile(eps3=tuple(eps), witnesses=tuple(wits) if witnesses else None)
 
 
-def eps3_profile(g: Graph, d: np.ndarray | None = None, threads: int = 1) -> FermatProfile:
-    """Fastest valid path: tree formula on trees, pruned scan otherwise.
-
-    threads is accepted for compatibility and ignored.
-    """
+def eps3_profile(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
+    """Fastest valid path: tree formula on trees, pruned scan otherwise."""
     if d is None:
         d = all_pairs_distances(g)
     if classify(g).kind is GraphKind.TREE:
         return eps3_tree(g, d)
-    return eps3_pruned(g, d, threads=threads)
+    return eps3_pruned(g, d)

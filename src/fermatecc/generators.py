@@ -21,7 +21,7 @@ from typing import Iterator
 import networkx as nx
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .graph import (
     Graph,
     GraphKind,
@@ -91,8 +91,6 @@ def dumbbell(c1: int, c2: int, bridge: int, pendant1: int = 0, pendant2: int = 0
     """
     if c1 < 3 or c2 < 3 or bridge < 0 or pendant1 < 0 or pendant2 < 0:
         raise ValueError("invalid dumbbell parameters")
-    if bridge == 0 and (c1 < 3 or c2 < 3):
-        raise ValueError("invalid dumbbell parameters")
     edges = []
     # first cycle on 0..c1-1, attachment vertex 0
     for i in range(c1):
@@ -104,14 +102,9 @@ def dumbbell(c1: int, c2: int, bridge: int, pendant1: int = 0, pendant2: int = 0
         edges.append((prev, nxt))
         prev = nxt
         nxt += 1
-    if bridge == 0:
-        anchor = 0
-        ring = [anchor] + list(range(nxt, nxt + c2 - 1))
-        nxt += c2 - 1
-    else:
-        anchor = prev
-        ring = [anchor] + list(range(nxt, nxt + c2 - 1))
-        nxt += c2 - 1
+    # prev is the second cycle's attachment vertex, 0 when bridge == 0
+    ring = [prev] + list(range(nxt, nxt + c2 - 1))
+    nxt += c2 - 1
     for i in range(len(ring)):
         edges.append((ring[i], ring[(i + 1) % len(ring)]))
     # pendants at vertices opposite the attachment points
@@ -442,6 +435,10 @@ def decorate_tree(t: Graph, d: np.ndarray | None = None) -> TreeDecoration:
     # parent pointers along BFS from a, neighbors visited in ascending order
     parent = [-1] * n
     dist = bfs_distances(t, a)
+    # spot-check a supplied d on the row the path is read from; with the
+    # tree's own d, the two checks below can only fail through a bug
+    if not np.array_equal(d[a], dist):
+        raise PreconditionError("d is not the distance matrix of the tree")
     order = np.argsort(dist, kind="stable")
     for u in order:
         u = int(u)
@@ -456,9 +453,9 @@ def decorate_tree(t: Graph, d: np.ndarray | None = None) -> TreeDecoration:
         pth.reverse()
     dlen = len(pth) - 1
     if dlen != ecc.diameter:
-        raise PreconditionError(f"double BFS path has length {dlen}, diameter is {ecc.diameter}")
+        raise InternalError(f"double BFS path has length {dlen}, diameter is {ecc.diameter}")
     if not all(c in pth for c in ecc.center):
-        raise PreconditionError("the diametral path misses a center vertex")
+        raise InternalError("the diametral path misses a center vertex")
 
     on_path = {v: i for i, v in enumerate(pth)}
     membership = [-1] * n

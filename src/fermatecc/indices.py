@@ -12,6 +12,7 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import PreconditionError
 from .fermat import FermatProfile, eps3_profile
 from .graph import (
     Graph,
@@ -79,13 +80,13 @@ def compare_averages(n: int, m: int, f1: int, f2: int) -> Comparison:
     return Comparison.ZERO
 
 
-def full_report(g: Graph, threads: int = 1) -> IndexReport:
-    """All six indices plus the comparison, via the fastest valid eps3 path.
-
-    threads is accepted for compatibility and ignored.
-    """
-    d = all_pairs_distances(g)
-    profile = eps3_profile(g, d, threads=threads)
+def full_report(g: Graph, d: np.ndarray | None = None) -> IndexReport:
+    """All six indices plus the comparison, via the fastest valid eps3 path."""
+    if g.m == 0:
+        raise PreconditionError("the comparison needs at least one edge")
+    if d is None:
+        d = all_pairs_distances(g)
+    profile = eps3_profile(g, d)
     f1, f2 = zagreb_fermat(g, profile)
     e1, e2 = zagreb_eccentricity(g, d)
     z1, z2 = zagreb_classic(g)

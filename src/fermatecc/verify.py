@@ -1,8 +1,10 @@
 """Mechanical checks of the structural lemmas and comparison theorems.
 
-Every check returns a CheckOutcome whose instance field is a graph6
-string (or parameter tuple), so any failure can be re-checked standalone.
-Sweeps run the applicable checks over every enumerated isomorphism class;
+A failing CheckOutcome names its instance as a graph6 string (or, for
+the cyclic-sequence lemma, the sequence), so any failure can be
+re-checked standalone; a passing one has instance "".  Sweeps run the
+applicable checks over every enumerated isomorphism class, computing
+distances and eps3 once per graph and encoding only reported graphs;
 the counterexample search hunts multicyclic graphs on both sides of the
 comparison inequality.
 """
@@ -61,10 +63,12 @@ class SweepSummary:
         return not self.failures
 
 
-def _outcome(name: str, inst: str, problems: list[str]) -> CheckOutcome:
-    if problems:
-        return CheckOutcome(name, inst, False, "; ".join(problems))
-    return CheckOutcome(name, inst, True)
+def _outcome(name: str, subject, problems: list[str]) -> CheckOutcome:
+    """Pass, or fail naming the subject: a Graph by graph6, a sequence by str."""
+    if not problems:
+        return CheckOutcome(name, "", True)
+    instance = to_graph6(subject) if isinstance(subject, Graph) else str(subject)
+    return CheckOutcome(name, instance, False, "; ".join(problems))
 
 
 def check_edge_lipschitz(g: Graph, eps3=None) -> CheckOutcome:
@@ -75,17 +79,19 @@ def check_edge_lipschitz(g: Graph, eps3=None) -> CheckOutcome:
     for u, v in g.edges:
         if abs(eps3[u] - eps3[v]) > 1:
             problems.append(f"edge ({u},{v}): eps3 {eps3[u]} vs {eps3[v]}")
-    return _outcome("edge_lipschitz", to_graph6(g), problems)
+    return _outcome("edge_lipschitz", g, problems)
 
 
-def check_diametrical_lemmas(t: Graph) -> CheckOutcome:
+def check_diametrical_lemmas(t: Graph, d: np.ndarray | None = None, eps3=None) -> CheckOutcome:
     """Symmetry, center minimality, edge partition, subtree additivity
     and the subtree-depth bound along a decorated diametrical path."""
     if classify(t).kind is not GraphKind.TREE:
         raise PreconditionError("check_diametrical_lemmas requires a tree")
-    d = all_pairs_distances(t)
+    if d is None:
+        d = all_pairs_distances(t)
+    if eps3 is None:
+        eps3 = eps3_tree(t, d).eps3
     dec = decorate_tree(t, d)
-    eps3 = eps3_tree(t, d).eps3
     p = dec.diametrical_path
     dlen = len(p) - 1
     problems = []
@@ -132,7 +138,7 @@ def check_diametrical_lemmas(t: Graph) -> CheckOutcome:
                 f"subtree additivity fails at {u}: {eps3[u]} != {d[u, root]}+{eps3[root]}"
             )
 
-    return _outcome("diametrical_lemmas", to_graph6(t), problems)
+    return _outcome("diametrical_lemmas", t, problems)
 
 
 def check_cyclic_sequence(xs) -> CheckOutcome:
@@ -150,7 +156,7 @@ def check_cyclic_sequence(xs) -> CheckOutcome:
     problems = []
     if lhs < rhs:
         problems.append(f"sum of squares {lhs} < cyclic product sum {rhs}")
-    return _outcome("cyclic_sequence", str(xs), problems)
+    return _outcome("cyclic_sequence", xs, problems)
 
 
 def is_path_graph(g: Graph) -> bool:
@@ -167,11 +173,10 @@ def verify_main_inequality(g: Graph, report=None) -> CheckOutcome:
     have their sign recorded."""
     if report is None:
         report = full_report(g)
-    inst = to_graph6(g)
     problems = []
     if report.kind is GraphKind.MULTICYCLIC:
         return CheckOutcome(
-            "main_inequality", inst, True, f"multicyclic, sign recorded: {report.comparison.value}"
+            "main_inequality", "", True, f"multicyclic, sign recorded: {report.comparison.value}"
         )
     if report.comparison is Comparison.POSITIVE:
         problems.append(f"n*F2 - m*F1 > 0 (F1={report.f1}, F2={report.f2})")
@@ -182,7 +187,7 @@ def verify_main_inequality(g: Graph, report=None) -> CheckOutcome:
                 f"equality characterization: comparison={report.comparison.value}, "
                 f"is_path={is_path_graph(g)}"
             )
-    return _outcome("main_inequality", inst, problems)
+    return _outcome("main_inequality", g, problems)
 
 
 def check_eccentric_analogue(g: Graph, report=None) -> CheckOutcome:
@@ -192,7 +197,7 @@ def check_eccentric_analogue(g: Graph, report=None) -> CheckOutcome:
     problems = []
     if report.n * report.e2 > report.m * report.e1:
         problems.append(f"n*E2={report.n * report.e2} > m*E1={report.m * report.e1}")
-    return _outcome("eccentric_analogue", to_graph6(g), problems)
+    return _outcome("eccentric_analogue", g, problems)
 
 
 def sweep_class(kind: GraphKind, n_values, max_n: int | None = None) -> SweepSummary:
@@ -205,7 +210,7 @@ def sweep_class(kind: GraphKind, n_values, max_n: int | None = None) -> SweepSum
         raise ValueError("sweep_class handles tree and unicyclic classes only")
 
     for n in n_values:
-        extremes: dict[str, tuple[int, str]] = {}
+        extremes: dict[str, tuple[int, Graph]] = {}
         star_vals = path_vals = None
         if kind is GraphKind.TREE:
             graphs = enumerate_free_trees(n, max_n=max_n or n)
@@ -213,56 +218,44 @@ def sweep_class(kind: GraphKind, n_values, max_n: int | None = None) -> SweepSum
             graphs = enumerate_unicyclic(n, max_n=max_n or n)
         for g in graphs:
             summary.instance_count += 1
-            report = full_report(g)
-            for outcome in (
+            d = all_pairs_distances(g)
+            report = full_report(g, d)
+            outcomes = [
                 check_edge_lipschitz(g, report.eps3),
                 verify_main_inequality(g, report),
                 check_eccentric_analogue(g, report),
-            ):
-                if not outcome.passed:
-                    summary.failures.append(outcome)
+            ]
             if kind is GraphKind.TREE and n >= 2:
-                outcome = check_diametrical_lemmas(g)
-                if not outcome.passed:
-                    summary.failures.append(outcome)
+                outcomes.append(check_diametrical_lemmas(g, d, report.eps3))
+            summary.failures.extend(o for o in outcomes if not o.passed)
             if report.comparison is Comparison.ZERO:
                 summary.equality_instances.append(to_graph6(g))
             if kind is GraphKind.TREE and n >= 3:
-                g6 = to_graph6(g)
                 for name, val in (("f1", report.f1), ("f2", report.f2)):
                     lo_key, hi_key = f"min_{name}", f"max_{name}"
                     if lo_key not in extremes or val < extremes[lo_key][0]:
-                        extremes[lo_key] = (val, g6)
+                        extremes[lo_key] = (val, g)
                     if hi_key not in extremes or val > extremes[hi_key][0]:
-                        extremes[hi_key] = (val, g6)
-                degs = sorted(g.degree(u) for u in range(g.n))
-                if degs[-1] == n - 1:
-                    star_vals = (report.f1, report.f2, g6)
+                        extremes[hi_key] = (val, g)
+                if max(g.degree(u) for u in range(g.n)) == n - 1:
+                    star_vals = (report.f1, report.f2)
                 if is_path_graph(g):
-                    path_vals = (report.f1, report.f2, g6)
+                    path_vals = (report.f1, report.f2)
         if kind is GraphKind.TREE and n >= 3:
             # extremal theorem: star minimises and path maximises F1 and F2
             for idx, name in ((0, "f1"), (1, "f2")):
-                if star_vals[idx] != extremes[f"min_{name}"][0]:
-                    summary.failures.append(
-                        CheckOutcome(
-                            "tree_extremes",
-                            extremes[f"min_{name}"][1],
-                            False,
-                            f"n={n}: min {name}={extremes[f'min_{name}'][0]} "
-                            f"not attained by the star ({star_vals[idx]})",
+                for side, vals, shape in (("min", star_vals, "star"), ("max", path_vals, "path")):
+                    val, h = extremes[f"{side}_{name}"]
+                    if vals[idx] != val:
+                        summary.failures.append(
+                            CheckOutcome(
+                                "tree_extremes",
+                                to_graph6(h),
+                                False,
+                                f"n={n}: {side} {name}={val} "
+                                f"not attained by the {shape} ({vals[idx]})",
+                            )
                         )
-                    )
-                if path_vals[idx] != extremes[f"max_{name}"][0]:
-                    summary.failures.append(
-                        CheckOutcome(
-                            "tree_extremes",
-                            extremes[f"max_{name}"][1],
-                            False,
-                            f"n={n}: max {name}={extremes[f'max_{name}'][0]} "
-                            f"not attained by the path ({path_vals[idx]})",
-                        )
-                    )
     return summary
 
 
@@ -292,11 +285,10 @@ def _family_grid():
 
 
 def _record(summary: SweepSummary, g: Graph, report) -> None:
-    g6 = to_graph6(g)
     if report.comparison is Comparison.POSITIVE:
-        summary.positive_instances.append(g6)
+        summary.positive_instances.append(to_graph6(g))
     elif report.comparison is Comparison.NEGATIVE:
-        summary.negative_instances.append(g6)
+        summary.negative_instances.append(to_graph6(g))
 
 
 def search_counterexample(
@@ -304,15 +296,13 @@ def search_counterexample(
     budget: int | None = None,
     seed: int = 0,
     max_n: int = 8,
-    threads: int = 1,
 ) -> SweepSummary:
     """Hunt multicyclic graphs on both sides of the comparison inequality.
 
     Positive instances violate the tree/unicyclic inequality direction,
     negative ones violate its opposite.  Deterministic per (strategy,
     budget, seed).  complete=False flags an exhausted budget before both
-    directions were seen.  threads is accepted for compatibility and
-    ignored.
+    directions were seen.
     """
     if strategy not in SEARCH_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {SEARCH_STRATEGIES}")
@@ -327,7 +317,7 @@ def search_counterexample(
                     done = True
                     break
                 summary.instance_count += 1
-                _record(summary, g, full_report(g, threads=threads))
+                _record(summary, g, full_report(g))
             if done:
                 break
         # exhaustive over all classes in range: complete even if one side
@@ -339,7 +329,7 @@ def search_counterexample(
             if summary.instance_count >= budget:
                 break
             summary.instance_count += 1
-            _record(summary, g, full_report(g, threads=threads))
+            _record(summary, g, full_report(g))
         summary.complete = bool(summary.positive_instances and summary.negative_instances)
     else:  # random-walk
         budget = budget if budget is not None else 300
@@ -349,7 +339,7 @@ def search_counterexample(
             g = random_connected(14, seed=rng.randrange(2**32), extra_edges=3)
         while summary.instance_count < budget:
             summary.instance_count += 1
-            _record(summary, g, full_report(g, threads=threads))
+            _record(summary, g, full_report(g))
             # edge-swap perturbation preserving m (hence cyclomatic) and
             # connectivity
             for _ in range(50):

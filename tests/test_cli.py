@@ -90,6 +90,26 @@ def test_disconnected_error_exit_code(tmp_path):
     assert code == 3
 
 
+def test_edgeless_graph_exit_code(tmp_path):
+    one = tmp_path / "k1.txt"
+    one.write_text("1\n")
+    code, out, err = run_cli("compute", "--input", str(one))
+    assert code == 3
+    assert out == b""
+    assert b"at least one edge" in err
+    code, _, _ = run_cli("verify", "tree", "1..3")
+    assert code == 3
+
+
+def test_multi_graph_g6_exit_code(tmp_path):
+    two = tmp_path / "two.g6"
+    two.write_text(fe.to_graph6(fe.cycle(6)) + "\n" + fe.to_graph6(fe.path(4)) + "\n")
+    code, out, err = run_cli("compute", "--input", str(two))
+    assert code == 3
+    assert out == b""
+    assert b"2 graphs" in err
+
+
 def test_missing_file_exit_code(tmp_path):
     code, _, _ = run_cli("compute", "--input", str(tmp_path / "absent.txt"))
     assert code == 3
@@ -190,9 +210,27 @@ def test_threads_must_be_a_positive_integer(p4_file, value, capsys):
 def test_internal_error_exit_code(p4_file, monkeypatch, capsys):
     import fermatecc.cli as cli
 
-    def broken(g, threads=1):
+    def broken(g, d=None):
         raise fe.InternalError("invariant failed")
 
     monkeypatch.setattr(cli, "full_report", broken)
     assert main(["compute", "--input", p4_file]) == 5
     assert "invariant failed" in capsys.readouterr().err
+
+
+def test_sweep_invariant_failure_is_internal(monkeypatch, capsys):
+    # the sweep hands decorate_tree each tree's own distances, so a failed
+    # diametral-path invariant is a bug (exit 5), not an input error (exit 3)
+    import dataclasses
+
+    import fermatecc.generators as gen
+
+    real = gen.eccentricity2_profile
+
+    def off_by_one(g, d=None):
+        ecc = real(g, d)
+        return dataclasses.replace(ecc, diameter=ecc.diameter + 1)
+
+    monkeypatch.setattr(gen, "eccentricity2_profile", off_by_one)
+    assert main(["verify", "tree", "2..5"]) == 5
+    assert "double BFS path" in capsys.readouterr().err

@@ -127,12 +127,12 @@ def test_distinct_pairs_never_exceeds_default():
         assert eps3_pruned(g, d, distinct_pairs=True).eps3 == strict
 
 
-def test_pruned_threads_bit_identical():
+def test_pruned_supplied_d_bit_identical():
     g = fe.random_connected(25, seed=9, extra_edges=6)
     d = all_pairs_distances(g)
-    serial = eps3_pruned(g, d, witnesses=True, threads=1)
-    parallel = eps3_pruned(g, d, witnesses=True, threads=4)
-    assert serial == parallel
+    supplied = eps3_pruned(g, d, witnesses=True)
+    computed = eps3_pruned(g, witnesses=True)
+    assert supplied == computed
 
 
 def test_pruning_beats_oracle_on_long_path():
@@ -191,9 +191,10 @@ def test_pruned_tiny_graphs():
     two = fe.path(2)
     for distinct_pairs in (False, True):
         for g in (one, two):
-            ref = eps3_oracle(g, distinct_pairs=distinct_pairs).eps3
-            assert eps3_pruned(g, distinct_pairs=distinct_pairs).eps3 == ref
-    assert eps3_pruned(two, witnesses=True).witnesses == eps3_oracle(two, witnesses=True).witnesses
+            ref = eps3_oracle(g, witnesses=True, distinct_pairs=distinct_pairs)
+            got = eps3_pruned(g, witnesses=True, distinct_pairs=distinct_pairs)
+            assert got.eps3 == ref.eps3
+            assert got.witnesses == ref.witnesses
 
 
 def test_pruned_pair_evaluations_repeat_exactly():

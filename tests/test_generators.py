@@ -78,6 +78,9 @@ def test_dumbbell_counts():
     g = dumbbell(3, 3, 1, 2, 2)
     assert g.n == 3 + 1 + 2 + 4
     assert classify(g).cyclomatic == 2
+    g = dumbbell(4, 5, 0)  # the cycles share vertex 0
+    assert g.n == 8
+    assert g.m == 9
 
 
 def test_two_cycles_with_tail_counts():

@@ -3,7 +3,7 @@
 import pytest
 
 import fermatecc as fe
-from fermatecc import Comparison, compare_averages, full_report
+from fermatecc import Comparison, PreconditionError, compare_averages, full_report
 
 
 def test_full_report_path4():
@@ -64,6 +64,11 @@ def test_comparison_uses_exact_integers():
     assert compare_averages(3, 3, big + 1, big) is Comparison.NEGATIVE
 
 
-def test_full_report_threads_identical():
+def test_full_report_supplied_d_identical():
     g = fe.random_connected(20, seed=4, extra_edges=5)
-    assert full_report(g, threads=1) == full_report(g, threads=4)
+    assert full_report(g, fe.all_pairs_distances(g)) == full_report(g)
+
+
+def test_full_report_rejects_edgeless():
+    with pytest.raises(PreconditionError):
+        full_report(fe.make_graph(1, []))

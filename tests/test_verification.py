@@ -1,5 +1,7 @@
 """Lemma/theorem checks, class sweeps, and the counterexample search."""
 
+import dataclasses
+
 import pytest
 
 import fermatecc as fe
@@ -14,6 +16,7 @@ from fermatecc import (
     is_path_graph,
     search_counterexample,
     sweep_class,
+    to_graph6,
     verify_main_inequality,
 )
 
@@ -28,6 +31,7 @@ def test_edge_lipschitz_detects_violation():
     outcome = check_edge_lipschitz(g, eps3=(1, 5, 5, 5))
     assert not outcome.passed
     assert "(0,1)" in outcome.detail.replace(" ", "")
+    assert outcome.instance == to_graph6(g)
 
 
 def test_diametrical_lemmas_on_samples():
@@ -85,6 +89,54 @@ def test_sweep_trees_small():
     # equality instances are exactly the paths, one per n
     assert len(summary.equality_instances) == 6
     assert all(is_path_graph(from_graph6(g6)) for g6 in summary.equality_instances)
+
+
+def test_sweep_analyses_each_tree_once(monkeypatch):
+    import fermatecc.fermat
+    import fermatecc.generators
+    import fermatecc.indices
+    import fermatecc.verify
+
+    calls = {"graph6": 0, "apsp": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(fermatecc.verify, "to_graph6", counting("graph6", fermatecc.verify.to_graph6))
+    # every module-level name the package looks APSP up under
+    for module in (fermatecc.verify, fermatecc.indices, fermatecc.fermat, fermatecc.generators):
+        monkeypatch.setattr(module, "all_pairs_distances", counting("apsp", module.all_pairs_distances))
+    summary = sweep_class(GraphKind.TREE, range(2, 9))
+    assert summary.passed
+    # graph6 only for the reported (equality) graphs, APSP once per tree
+    assert calls["graph6"] == len(summary.equality_instances)
+    assert calls["apsp"] == summary.instance_count
+
+
+def test_sweep_tree_extremes_names_the_extremal_tree(monkeypatch):
+    import fermatecc.verify
+
+    real = fermatecc.verify.full_report
+
+    def inflated_star(g, d=None):
+        rep = real(g, d)
+        if g.n == 5 and max(g.degree(u) for u in range(g.n)) == 4:
+            rep = dataclasses.replace(rep, f1=rep.f1 + 1000)
+        return rep
+
+    monkeypatch.setattr(fermatecc.verify, "full_report", inflated_star)
+    summary = sweep_class(GraphKind.TREE, range(5, 6))
+    low, high = [f for f in summary.failures if f.check_name == "tree_extremes"]
+    # each failure names the tree holding the extreme: the chair (max degree
+    # 3) now has the smallest F1, the inflated star the largest
+    assert low.detail.startswith("n=5: min f1=") and "by the star" in low.detail
+    assert high.detail.startswith("n=5: max f1=") and "by the path" in high.detail
+    assert max(map(len, from_graph6(low.instance).adj)) == 3
+    assert max(map(len, from_graph6(high.instance).adj)) == 4
 
 
 def test_sweep_unicyclic_small():
