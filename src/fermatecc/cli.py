@@ -49,14 +49,14 @@ def _read_graph(path: str) -> Graph:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-    except OSError as exc:
+        if not path.endswith((".g6", ".graph6")):
+            return parse_edge_list(data.decode("utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    if path.endswith((".g6", ".graph6")):
-        lines = [line for line in data.splitlines() if line.strip()]
-        if len(lines) > 1:
-            raise ParseError(f"{path} holds {len(lines)} graphs; expected one")
-        return from_graph6(lines[0] if lines else b"")
-    return parse_edge_list(data.decode("utf-8"))
+    lines = [line for line in data.splitlines() if line.strip()]
+    if len(lines) > 1:
+        raise ParseError(f"{path} holds {len(lines)} graphs; expected one")
+    return from_graph6(lines[0] if lines else b"")
 
 
 def _report_dict(rep: IndexReport) -> dict:

@@ -1,9 +1,9 @@
 """Graph families, random generators, exhaustive enumerators, formulas.
 
-Free trees are enumerated one representative per isomorphism class by
-generating canonical rooted trees recursively and deduplicating on a
-center-rooted AHU canonical form.  Unicyclic and bicyclic classes are
-produced by edge augmentation plus isomorphism deduplication.
+Free trees come from canonical rooted trees, unicyclic and bicyclic
+classes from adding one edge to each class below.  All three keep the
+first graph of each `canonical_form`: the AHU forms of the hanging
+trees, read from the centres of a tree or along the 2-core's walks.
 
 The two closed-form difference quotients for the multicyclic
 counterexample families are evaluated in exact rational arithmetic.
@@ -18,7 +18,6 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import Iterator
 
-import networkx as nx
 import numpy as np
 
 from .errors import InternalError, PreconditionError
@@ -277,43 +276,66 @@ def _canon_to_graph(canon: tuple) -> Graph:
     return make_graph(counter[0], edges)
 
 
-def _tree_centers(adj: list[list[int]]) -> list[int]:
-    n = len(adj)
-    if n <= 2:
-        return list(range(n))
+def canonical_form(g: Graph) -> tuple:
+    """Isomorphism-class key of a connected graph with cyclomatic number <= 2.
+
+    Leaves are peeled layer by layer; a peeled vertex's form is the tuple
+    of its child forms (a rooted AHU form), handed to its one surviving
+    neighbour.  A tree stops at its one or two centres.  A cyclic graph
+    stops at its 2-core, which has at most two hubs (core degree > 2);
+    its key lists each hub's form with the walks along the core from it
+    to the next hub.  A plain cycle takes the least key over its anchors.
+    """
+    cyclomatic = g.m - g.n + 1
+    if not 0 <= cyclomatic <= 2:
+        raise PreconditionError(f"canonical_form needs cyclomatic number 0..2, got {cyclomatic}")
+    adj = g.adj
     degree = [len(a) for a in adj]
-    removed = [False] * n
-    alive = n
-    layer = [u for u in range(n) if degree[u] == 1]
-    while alive > 2:
+    children: list[list[tuple]] = [[] for _ in range(g.n)]
+    left = set(range(g.n))
+    layer = [u for u in left if degree[u] == 1]
+    while layer and len(left) > 2:
         nxt = []
         for u in layer:
-            removed[u] = True
-            alive -= 1
+            left.remove(u)
             for v in adj[u]:
-                if not removed[v]:
+                if v in left:
+                    children[v].append(tuple(sorted(children[u], key=_canon_key, reverse=True)))
                     degree[v] -= 1
                     if degree[v] == 1:
                         nxt.append(v)
         layer = nxt
-    return sorted(u for u in range(n) if not removed[u])
+    form = {u: tuple(sorted(children[u], key=_canon_key, reverse=True)) for u in left}
+    if cyclomatic == 0:
+        centres = sorted(form.values(), reverse=True)
+        return centres[0] if len(centres) == 1 else tuple(centres)
+
+    def walks(x: int, stops) -> tuple:
+        out = []
+        for v in adj[x]:
+            if v not in form:
+                continue
+            prev, cur, interior = x, v, []
+            while cur not in stops:
+                interior.append(form[cur])
+                prev, cur = cur, next(w for w in adj[cur] if w in form and w != prev)
+            out.append((cur == x, tuple(interior)))
+        return form[x], tuple(sorted(out))
+
+    # degree now counts core neighbours only
+    hubs = [u for u in form if degree[u] > 2]
+    if hubs:
+        return tuple(sorted(walks(x, hubs) for x in hubs))
+    return min(walks(x, (x,)) for x in form)
 
 
-def _ahu(adj, root: int, parent: int) -> tuple:
-    children = [_ahu(adj, v, root) for v in adj[root] if v != parent]
-    children.sort(key=_canon_key, reverse=True)
-    return tuple(children)
-
-
-def free_tree_canon(g: Graph) -> tuple:
-    """Canonical form of an unrooted tree (center-rooted AHU form)."""
-    adj = [list(a) for a in g.adj]
-    centers = _tree_centers(adj)
-    if len(centers) == 1:
-        return _ahu(adj, centers[0], -1)
-    c1, c2 = centers
-    halves = sorted((_ahu(adj, c1, c2), _ahu(adj, c2, c1)), reverse=True)
-    return tuple(halves)
+def _first_of_each_class(graphs) -> Iterator[Graph]:
+    seen = set()
+    for g in graphs:
+        key = canonical_form(g)
+        if key not in seen:
+            seen.add(key)
+            yield g
 
 
 def enumerate_free_trees(n: int, max_n: int = FREE_TREE_CAP) -> Iterator[Graph]:
@@ -324,42 +346,11 @@ def enumerate_free_trees(n: int, max_n: int = FREE_TREE_CAP) -> Iterator[Graph]:
         raise ValueError(
             f"n={n} exceeds the free-tree enumeration cap {max_n}; raise max_n to override"
         )
-    seen = set()
-    for canon in _rooted_trees(n):
-        g = _canon_to_graph(canon)
-        key = free_tree_canon(g)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield g
+    yield from _first_of_each_class(_canon_to_graph(canon) for canon in _rooted_trees(n))
 
 
 # ---------------------------------------------------------------------------
-# unicyclic / bicyclic enumeration via augmentation + isomorphism dedup
-
-
-class _IsoDedup:
-    """Exact isomorphism-class dedup, bucketed by cheap invariants."""
-
-    def __init__(self) -> None:
-        self._buckets: dict[object, list[nx.Graph]] = {}
-
-    def add(self, g: Graph) -> bool:
-        h = nx.Graph()
-        h.add_nodes_from(range(g.n))
-        h.add_edges_from(g.edges)
-        key = (
-            g.n,
-            g.m,
-            tuple(sorted(g.degree(u) for u in range(g.n))),
-            nx.weisfeiler_lehman_graph_hash(h),
-        )
-        bucket = self._buckets.setdefault(key, [])
-        for other in bucket:
-            if nx.is_isomorphic(h, other):
-                return False
-        bucket.append(h)
-        return True
+# unicyclic / bicyclic enumeration via augmentation + canonical-form dedup
 
 
 def _augmentations(g: Graph) -> Iterator[Graph]:
@@ -378,11 +369,9 @@ def enumerate_unicyclic(n: int, max_n: int = UNICYCLIC_CAP) -> Iterator[Graph]:
         raise ValueError(
             f"n={n} exceeds the unicyclic enumeration cap {max_n}; raise max_n to override"
         )
-    dedup = _IsoDedup()
-    for t in enumerate_free_trees(n, max_n=max(n, FREE_TREE_CAP)):
-        for g in _augmentations(t):
-            if dedup.add(g):
-                yield g
+    yield from _first_of_each_class(
+        g for t in enumerate_free_trees(n, max_n=max(n, FREE_TREE_CAP)) for g in _augmentations(t)
+    )
 
 
 def enumerate_bicyclic(n: int, max_n: int = 8) -> Iterator[Graph]:
@@ -393,11 +382,9 @@ def enumerate_bicyclic(n: int, max_n: int = 8) -> Iterator[Graph]:
         raise ValueError(
             f"n={n} exceeds the bicyclic enumeration cap {max_n}; raise max_n to override"
         )
-    dedup = _IsoDedup()
-    for base in enumerate_unicyclic(n, max_n=max(n, UNICYCLIC_CAP)):
-        for g in _augmentations(base):
-            if dedup.add(g):
-                yield g
+    yield from _first_of_each_class(
+        g for base in enumerate_unicyclic(n, max_n=max(n, UNICYCLIC_CAP)) for g in _augmentations(base)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 Graphs are undirected, simple, and use dense 0-based integer vertex ids.
 Distance matrices are numpy integer arrays computed by one BFS per vertex.
+graph6 strings (McKay's six-bit format) are encoded and decoded natively.
 """
 
 from __future__ import annotations
@@ -9,8 +10,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from math import isqrt
 
-import networkx as nx
 import numpy as np
 
 from .errors import ConnectivityError, ParseError, ValidationError
@@ -74,6 +75,8 @@ def make_graph(n: int, edges, strict: bool = True) -> Graph:
         seen.add((u, v))
         norm.append((u, v))
     norm.sort()
+    if strict and len(norm) < n - 1:  # too few edges to connect n vertices; checked before allocating
+        raise ConnectivityError(f"graph with n={n}, m={len(norm)} is not connected")
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in norm:
         nbrs[u].append(v)
@@ -140,23 +143,42 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _graph6_size(n: int) -> list[int]:
+    """N(n) of McKay's graph6 format: one, four or eight 6-bit units."""
+    width = 1 if n < 63 else 3 if n < 258048 else 6
+    return [63] * (width // 3) + [n >> 6 * s & 63 for s in reversed(range(width))]
+
+
 def from_graph6(line: str | bytes, strict: bool = True) -> Graph:
-    """Decode one graph6 line (standard 6-bit encoding)."""
+    """Decode one graph6 string; an optional >>graph6<< header is skipped."""
     if isinstance(line, str):
-        line = line.encode("ascii")
-    try:
-        h = nx.from_graph6_bytes(line.strip())
-    except (nx.NetworkXError, ValueError) as exc:
-        raise ParseError(f"invalid graph6 data: {exc}") from None
-    return make_graph(h.number_of_nodes(), h.edges(), strict=strict)
+        line = line.encode("utf-8", "surrogatepass")  # non-ASCII fails the range check
+    data = [c - 63 for c in line.strip().removeprefix(b">>graph6<<")]
+    if not data or not all(0 <= x < 64 for x in data):
+        raise ParseError(f"invalid graph6 data: {line[:40]!r}")
+    head = 1 if data[0] < 63 else 4 if len(data) > 1 and data[1] < 63 else 8
+    n = sum(x << 6 * i for i, x in enumerate(reversed(data[head // 4 : head])))
+    body, nbits = data[head:], n * (n - 1) // 2
+    if len(data) < head or len(body) != (nbits + 5) // 6:
+        raise ParseError(f"graph6 data does not fit its vertex count n={n}: {line[:40]!r}")
+    edges = []
+    for t, x in enumerate(body):
+        for b in range(6) if x else ():
+            k = 6 * t + b  # bit k stands for the pair (i, j), i < j, in column order
+            if x >> 5 - b & 1 and k < nbits:
+                j = (1 + isqrt(8 * k + 1)) // 2
+                edges.append((k - j * (j - 1) // 2, j))
+    return make_graph(n, edges, strict=strict)
 
 
 def to_graph6(g: Graph) -> str:
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges)
-    out = nx.to_graph6_bytes(h, header=False).decode("ascii").strip()
-    return out
+    """graph6 string of g, without header or newline."""
+    nbits = g.n * (g.n - 1) // 2
+    body = [0] * ((nbits + 5) // 6)
+    for i, j in g.edges:
+        k = j * (j - 1) // 2 + i
+        body[k // 6] |= 32 >> k % 6
+    return bytes(x + 63 for x in _graph6_size(g.n) + body).decode("ascii")
 
 
 def bfs_distances(g: Graph, source: int) -> np.ndarray:

@@ -95,15 +95,15 @@ def test_criterion_2_tree_inequality_sweep(tree_sweep):
 
 def test_criterion_3_tree_extremes():
     started = time.monotonic()
-    from fermatecc.generators import free_tree_canon
+    from fermatecc.generators import canonical_form
 
     for n in range(3, 11):
         values = {}
         for g in enumerate_free_trees(n):
             rep = full_report(g)
-            values[free_tree_canon(g)] = (rep.f1, rep.f2)
-        star6 = free_tree_canon(fe.star(n))
-        path6 = free_tree_canon(fe.path(n))
+            values[canonical_form(g)] = (rep.f1, rep.f2)
+        star6 = canonical_form(fe.star(n))
+        path6 = canonical_form(fe.path(n))
         for idx, name in ((0, "F1"), (1, "F2")):
             lo = min(v[idx] for v in values.values())
             hi = max(v[idx] for v in values.values())

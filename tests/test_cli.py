@@ -110,6 +110,22 @@ def test_multi_graph_g6_exit_code(tmp_path):
     assert b"2 graphs" in err
 
 
+@pytest.mark.parametrize(
+    "name, data",
+    [
+        ("blank.g6", b"\n"),
+        ("tilde.g6", b"~\n"),
+        ("high.g6", b"\xff\n"),
+        ("latin1.txt", b"3\n0 1\n1 2  # caf\xe9\n"),
+    ],
+)
+def test_malformed_graph_file_exit_code(tmp_path, capsys, name, data):
+    f = tmp_path / name
+    f.write_bytes(data)
+    assert main(["compute", "--input", str(f)]) == 3
+    assert "input error" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(tmp_path):
     code, _, _ = run_cli("compute", "--input", str(tmp_path / "absent.txt"))
     assert code == 3

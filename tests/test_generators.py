@@ -1,8 +1,13 @@
 """Families, random generators, enumerators, decorations, formulas."""
 
 import itertools
+from collections import defaultdict
+from functools import lru_cache
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fermatecc as fe
 from fermatecc import (
@@ -22,7 +27,7 @@ from fermatecc import (
     theta,
     two_cycles_with_tail,
 )
-from fermatecc.generators import FREE_TREE_COUNTS, _prufer_decode, free_tree_canon
+from fermatecc.generators import FREE_TREE_COUNTS, _augmentations, _prufer_decode, canonical_form
 
 
 def spider(*legs):
@@ -128,7 +133,7 @@ def test_free_trees_are_distinct_trees():
     seen = set()
     for g in enumerate_free_trees(9):
         assert classify(g).kind is GraphKind.TREE
-        key = free_tree_canon(g)
+        key = canonical_form(g)
         assert key not in seen
         seen.add(key)
 
@@ -139,8 +144,8 @@ def test_free_trees_match_prufer_oracle(n):
     # same canonical form; class sets must coincide exactly
     oracle = set()
     for seq in itertools.product(range(n), repeat=n - 2):
-        oracle.add(free_tree_canon(make_graph(n, _prufer_decode(list(seq), n))))
-    enumerated = {free_tree_canon(g) for g in enumerate_free_trees(n)}
+        oracle.add(canonical_form(make_graph(n, _prufer_decode(list(seq), n))))
+    enumerated = {canonical_form(g) for g in enumerate_free_trees(n)}
     assert enumerated == oracle
 
 
@@ -169,6 +174,65 @@ def test_enumeration_caps_enforced():
         next(enumerate_unicyclic(10))
     # and the override works
     assert sum(1 for _ in enumerate_unicyclic(10, max_n=10)) > 0
+
+
+# ---------------------------------------------------------------------------
+# canonical form (networkx is the differential oracle)
+
+
+@lru_cache(maxsize=None)
+def _cyclic_classes():
+    return tuple(enumerate_unicyclic(8)) + tuple(enumerate_bicyclic(7))
+
+
+def _isomorphic(a, b):
+    return nx.is_isomorphic(nx.Graph(a.edges), nx.Graph(b.edges))
+
+
+def _assert_forms_match_isomorphism(graphs):
+    # equal forms iff isomorphic, over every pair with the same degree sequence
+    groups = defaultdict(list)
+    for g in graphs:
+        groups[tuple(sorted(map(len, g.adj)))].append((canonical_form(g), g))
+    for group in groups.values():
+        for (ka, a), (kb, b) in itertools.combinations(group, 2):
+            assert (ka == kb) == _isomorphic(a, b), (a.edges, b.edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_canonical_form_ignores_labels(data):
+    g = data.draw(st.sampled_from(_cyclic_classes()))
+    perm = data.draw(st.permutations(range(g.n)))
+    h = make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    assert canonical_form(h) == canonical_form(g)
+
+
+@pytest.mark.parametrize("enumerate_class, n", [(enumerate_unicyclic, 8), (enumerate_bicyclic, 7)])
+def test_enumerated_classes_have_distinct_forms(enumerate_class, n):
+    graphs = list(enumerate_class(n))
+    assert len({canonical_form(g) for g in graphs}) == len(graphs)
+    _assert_forms_match_isomorphism(graphs)
+
+
+@pytest.mark.parametrize("enumerate_base, n", [(enumerate_free_trees, 7), (enumerate_unicyclic, 6)])
+def test_forms_of_augmentations_match_isomorphism(enumerate_base, n):
+    # the raw augmentations hold many isomorphic copies, so equal forms occur
+    _assert_forms_match_isomorphism([g for b in enumerate_base(n) for g in _augmentations(b)])
+
+
+def test_canonical_form_of_named_cores():
+    # a cycle, a theta and the two dumbbell shapes, each with hanging paths
+    assert canonical_form(fe.cycle(7)) != canonical_form(random_unicyclic(7, girth=6, seed=0))
+    assert canonical_form(theta(2, 3, 4)) == canonical_form(theta(4, 2, 3))
+    assert canonical_form(dumbbell(3, 4, 0)) == canonical_form(dumbbell(4, 3, 0))
+    assert canonical_form(dumbbell(3, 5, 2, 1, 0)) == canonical_form(dumbbell(5, 3, 2, 0, 1))
+    assert canonical_form(dumbbell(3, 5, 2, 1, 0)) != canonical_form(dumbbell(3, 5, 2, 0, 1))
+
+
+def test_canonical_form_rejects_three_cycles():
+    with pytest.raises(fe.PreconditionError):
+        canonical_form(make_graph(4, itertools.combinations(range(4), 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
 """Graph construction, parsing, serialization, BFS, and classification."""
 
+import subprocess
+import sys
+import tracemalloc
+
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -93,6 +98,45 @@ def test_graph6_round_trip():
 def test_graph6_accepts_bytes():
     g = fe.path(4)
     assert from_graph6(to_graph6(g).encode()) == g
+
+
+def test_graph6_size_header_forms():
+    from networkx.readwrite.graph6 import n_to_data
+
+    from fermatecc.graph import _graph6_size
+
+    for n in (0, 1, 62, 63, 64, 258047, 258048, 2**36 - 1):
+        assert _graph6_size(n) == n_to_data(n)
+    # the four- and eight-unit size forms decode for small n as well
+    c5 = to_graph6(fe.cycle(5)).encode()
+    for head in (b"~??D", b"~~?????D"):
+        assert from_graph6(head + c5[1:]) == fe.cycle(5)
+        assert sorted(nx.from_graph6_bytes(head + c5[1:]).edges()) == list(fe.cycle(5).edges)
+
+
+def test_graph6_rejects_malformed():
+    for bad in (b"", b"\n", b"~", b"~~??", b"A", b"Bxx", b"B\x7f", b">>graph6<<", "C\u00e9", b"\xff"):
+        with pytest.raises(ParseError):
+            from_graph6(bad)
+
+
+def test_declared_vertex_count_bounded_by_edges():
+    # a connected graph needs n - 1 edges, so a bare vertex count fails
+    # before anything is allocated per declared vertex
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConnectivityError):
+            parse_edge_list("100000\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_cli_import_leaves_networkx_out():
+    code = "import sys, fermatecc.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_bfs_distances_path():

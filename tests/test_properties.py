@@ -1,7 +1,8 @@
 """Property-based invariants over randomly drawn graphs."""
 
+import networkx as nx
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fermatecc as fe
@@ -108,3 +109,47 @@ def test_cyclic_sequence_random_walks(start, steps):
     while abs(xs[-1] - xs[0]) > 1:
         xs.append(xs[-1] + (1 if xs[0] > xs[-1] else -1))
     assert fe.check_cyclic_sequence(xs).passed
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=80), st.floats(0, 1), st.integers(0, 2**31))
+@example(62, 0.5, 0)
+@example(63, 0.5, 0)
+def test_graph6_matches_networkx(n, p, seed):
+    h = nx.gnp_random_graph(n, p, seed=seed)
+    g = fe.make_graph(n, h.edges(), strict=False)
+    data = nx.to_graph6_bytes(h, header=False)
+    assert (fe.to_graph6(g) + "\n").encode() == data
+    back = nx.from_graph6_bytes(data)
+    assert fe.from_graph6(data, strict=False) == fe.make_graph(n, back.edges(), strict=False)
+    assert fe.from_graph6(b">>graph6<<" + data, strict=False) == g
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=40), st.lists(st.integers(63, 126), max_size=40).map(bytes)))
+def test_graph6_junk_raises_only_graph_errors(data):
+    try:
+        g = fe.from_graph6(data, strict=False)
+    except fe.GraphError:
+        return
+    assert fe.from_graph6(fe.to_graph6(g), strict=False) == g
+
+
+_junk_token = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.sampled_from(["x", "#", "1.5", "0x1", "--", "1e3", "\u0663"]),
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.integers(max_value=10**5).map(str), _junk_token),
+    st.lists(st.lists(_junk_token, max_size=3).map(" ".join), max_size=12),
+)
+def test_edge_list_junk_raises_only_graph_errors(count, lines):
+    try:
+        g = fe.parse_edge_list("\n".join([count] + lines))
+    except fe.GraphError:
+        return
+    assert fe.parse_edge_list(fe.to_edge_list(g)) == g
