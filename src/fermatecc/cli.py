@@ -160,7 +160,7 @@ def _write_witnesses(summary: SweepSummary, witness_dir: str) -> None:
     named += [("negative", g6) for g6 in summary.negative_instances]
     for i, (tag, g6) in enumerate(named):
         g = from_graph6(g6)
-        rep = full_report(g)
+        rep = summary.reports.get(g6) or full_report(g)  # a sweep failure has no report
         base = f"{tag}_{i:04d}"
         with open(os.path.join(witness_dir, base + ".edges"), "w") as fh:
             fh.write(to_edge_list(g))

@@ -5,9 +5,11 @@ Three interchangeable computation paths:
 * eps3_oracle  -- exhaustive brute force over all pairs, the reference.
 * eps3_pruned  -- same values, skips pairs using exact lower/upper bounds.
                   Single-threaded: vertices are visited in BFS order, each
-                  seeded from its BFS parent by the edge-Lipschitz lemma
-                  |eps3(u) - eps3(p)| <= 1, and the pairs the bounds leave
-                  open are evaluated in numpy blocks, not one by one.
+                  bounded by the edge-Lipschitz lemma |eps3(u) - eps3(p)|
+                  <= 1 against its BFS parent p.  The pair that attained
+                  eps3(p) is tried first; if it reaches eps3(p) + 1 the
+                  bound pass is skipped (the cap exit).  The pairs the
+                  bounds leave open are evaluated in numpy blocks.
 * eps3_tree    -- O(n) per vertex fast path valid on trees only.
 
 The eccentricity of u maximises the Fermat distance of {u, v, w} over all
@@ -147,16 +149,19 @@ def eps3_pruned(
 ) -> FermatProfile:
     """Bound-pruned computation; value-identical to eps3_oracle.
 
-    Vertices are visited in BFS order from vertex 0.  For each u, every
-    pair (v, w) with v <= w gets the bounds of _pair_bounds, and the
-    running maximum starts at the largest lower bound.  Across an edge
-    every pair's Fermat distance changes by at most 1, so each vertex
-    but the root also starts at eps3(p) - 1, p being its BFS parent and
-    already done, and stops as soon as it reaches eps3(p) + 1.  The
-    pairs whose upper bound still beats the maximum are evaluated
-    exactly in blocks of _BLOCK, highest lower bound first; after a
-    block raises the maximum the rest are filtered again.
-    pair_evaluations counts every pair of every evaluated block.
+    Vertices are visited in BFS order from vertex 0.  Across an edge
+    every pair's Fermat distance changes by at most 1, so eps3(u) is
+    within 1 of eps3(p), p being u's BFS parent and already done.  At u
+    the pair that attained eps3(p) is evaluated first; if it reaches the
+    cap eps3(p) + 1, that is eps3(u) (the cap exit).  Otherwise the
+    running maximum starts at the larger of that probe and the largest
+    lower bound of _pair_bounds over the pairs (v, w), v <= w, and stops
+    at the cap.  The pairs whose upper bound still beats it are
+    evaluated exactly in blocks of _BLOCK, highest lower bound first,
+    and filtered again after each raise.  pair_evaluations counts each
+    probe and every pair of every evaluated block, so where the probe
+    never reaches the cap (a cycle with a long tail, whose eps3 stays
+    level) it adds one evaluation per vertex.
     """
     if d is None:
         d = all_pairs_distances(g)
@@ -172,34 +177,43 @@ def eps3_pruned(
     iu, iw = np.triu_indices(n, k=1 if distinct_pairs else 0)
     dvw = d32[iu, iw]
     eps = [0] * n
+    # per vertex, the index into (iu, iw) of one pair whose exact value is eps[u]
+    arg = [0] * n
     wits: list[FermatWitness | None] = [None] * n
     evals = 0
     for u in order:
         du = d32[u]
-        pv, pw = du[iu], du[iw]
-        lb = (pv + pw + dvw + 1) >> 1
-        ub = np.minimum(pv + pw, np.minimum(pv, pw) + dvw)
-        # lb.max() is at least every tight pair's exact value, so each
-        # pair with ub > best below has lb < ub
-        best = int(lb.max(initial=0))
-        cap = None
+        best, cap, k = -1, None, 0
         p = parent[u]
         if p >= 0:
-            best = max(best, eps[p] - 1)
-            cap = eps[p] + 1
-        cand = np.flatnonzero(ub > best)
-        while cand.size and best != cap:
-            if cand.size > _BLOCK:
-                part = np.argpartition(-lb[cand], _BLOCK - 1)
-                blk, cand = cand[part[:_BLOCK]], cand[part[_BLOCK:]]
-            else:
-                blk, cand = cand, cand[:0]
-            evals += blk.size
-            # d is symmetric, so rows stand in for columns
-            top = int((du + d32[iu[blk]] + d32[iw[blk]]).min(axis=1).max())
-            if top > best:
-                best = top
-                cand = cand[ub[cand] > best]
+            # the parent's pair, exact at u: >= eps[p] - 1, and at the cap it is eps[u]
+            k, cap = arg[p], eps[p] + 1
+            best = int((du + d32[iu[k]] + d32[iw[k]]).min())
+            evals += 1
+        if best != cap:
+            pv, pw = du[iu], du[iw]
+            lb = (pv + pw + dvw + 1) >> 1
+            ub = np.minimum(pv + pw, np.minimum(pv, pw) + dvw)
+            # if best ends at lb.max(), that pair attains it; best >= every
+            # tight pair's exact value, so each pair with ub > best has lb < ub
+            top = int(lb.argmax())
+            if lb[top] > best:
+                best, k = int(lb[top]), top
+            cand = np.flatnonzero(ub > best)
+            while cand.size and best != cap:
+                if cand.size > _BLOCK:
+                    part = np.argpartition(-lb[cand], _BLOCK - 1)
+                    blk, cand = cand[part[:_BLOCK]], cand[part[_BLOCK:]]
+                else:
+                    blk, cand = cand, cand[:0]
+                evals += blk.size
+                # d is symmetric, so rows stand in for columns
+                vals = (du + d32[iu[blk]] + d32[iw[blk]]).min(axis=1)
+                top = int(vals.argmax())
+                if vals[top] > best:
+                    best, k = int(vals[top]), int(blk[top])
+                    cand = cand[ub[cand] > best]
+        arg[u] = k
         eps[u] = best
         if witnesses:
             wits[u] = _lex_witness(d, u, best, *_pair_bounds(d, u), distinct_pairs)

@@ -1,13 +1,13 @@
 """Core graph representation: construction, parsing, BFS/APSP, classification.
 
 Graphs are undirected, simple, and use dense 0-based integer vertex ids.
-Distance matrices are numpy integer arrays computed by one BFS per vertex.
+Distance matrices are numpy integer arrays built from one BFS per vertex,
+run on plain Python lists.
 graph6 strings (McKay's six-bit format) are encoded and decoded natively.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
@@ -181,31 +181,32 @@ def to_graph6(g: Graph) -> str:
     return bytes(x + 63 for x in _graph6_size(g.n) + body).decode("ascii")
 
 
+def _bfs_row(adj, source: int) -> list[int]:
+    """Hop distances from source; plain lists, queue included, beat numpy here."""
+    dist = [-1] * len(adj)
+    dist[source] = 0
+    queue = [source]
+    for u in queue:
+        du = dist[u] + 1
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = du
+                queue.append(v)
+    if len(queue) < len(adj):
+        raise ConnectivityError("distances require a connected graph")
+    return dist
+
+
 def bfs_distances(g: Graph, source: int) -> np.ndarray:
     """Hop distances from source to every vertex (graph must be connected)."""
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range for n={g.n}")
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[source] = 0
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        du = dist[u]
-        for v in g.adj[u]:
-            if dist[v] < 0:
-                dist[v] = du + 1
-                q.append(v)
-    if (dist < 0).any():
-        raise ConnectivityError("bfs_distances requires a connected graph")
-    return dist
+    return np.array(_bfs_row(g.adj, source), dtype=np.int64)
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """n x n matrix of hop distances; one BFS per vertex."""
-    d = np.empty((g.n, g.n), dtype=np.int64)
-    for u in range(g.n):
-        d[u] = bfs_distances(g, u)
-    return d
+    return np.array([_bfs_row(g.adj, u) for u in range(g.n)], dtype=np.int64)
 
 
 def classify(g: Graph) -> GraphClass:

@@ -37,7 +37,7 @@ from .graph import (
     make_graph,
     to_graph6,
 )
-from .indices import Comparison, full_report
+from .indices import Comparison, IndexReport, full_report
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,8 @@ class SweepSummary:
     positive_instances: list[str] = field(default_factory=list)
     negative_instances: list[str] = field(default_factory=list)
     complete: bool = True
+    # IndexReport of each positive and negative instance, keyed by graph6
+    reports: dict[str, IndexReport] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -284,11 +286,16 @@ def _family_grid():
                 yield two_cycles_with_tail(c, c, 2 * half, half // tail_frac)
 
 
-def _record(summary: SweepSummary, g: Graph, report) -> None:
+def _record(summary: SweepSummary, g: Graph, report: IndexReport) -> None:
     if report.comparison is Comparison.POSITIVE:
-        summary.positive_instances.append(to_graph6(g))
+        instances = summary.positive_instances
     elif report.comparison is Comparison.NEGATIVE:
-        summary.negative_instances.append(to_graph6(g))
+        instances = summary.negative_instances
+    else:
+        return
+    g6 = to_graph6(g)
+    instances.append(g6)
+    summary.reports[g6] = report
 
 
 def search_counterexample(

@@ -190,15 +190,21 @@ def test_search_incomplete_exit_code(capsys):
     assert not payload["complete"]
 
 
-def test_search_witness_dir(tmp_path, capsys):
+def test_search_witness_dir(tmp_path, capsys, monkeypatch):
+    # the witness files reuse the search's own reports instead of recomputing them
+    calls = []
+    monkeypatch.setattr(fe.cli, "full_report", lambda *a: calls.append(a) or fe.full_report(*a))
     wdir = tmp_path / "wit"
     assert main(["search", "family-sweep", "--witness-dir", str(wdir)]) == 0
     capsys.readouterr()
+    assert calls == []
     records = json.loads((wdir / "witnesses.json").read_text())
     assert records
-    for rec in records[:3]:
+    for rec in records:
         g = fe.parse_edge_list((wdir / rec["file"]).read_text())
+        assert rec["graph6"] == fe.to_graph6(g)
         rep = fe.full_report(g)
+        assert list(rep.eps3) == rec["eps3"]
         assert rep.f1 == rec["f1"] and rep.f2 == rec["f2"]
         assert rep.comparison.value == rec["comparison"]
 

@@ -173,6 +173,32 @@ def test_pruned_agrees_on_named_multicyclic(distinct_pairs):
         assert got.eps3 == ref.eps3, fe.to_graph6(g)
 
 
+def _spider(legs, leg_len, ring=0):
+    """legs paths of leg_len vertices hanging from vertex 0, and a ring-cycle through 0 if ring."""
+    edges = [(i, (i + 1) % ring) for i in range(ring)]
+    n = max(ring, 1)
+    for _ in range(legs):
+        edges += [(0 if i == 0 else n + i - 1, n + i) for i in range(leg_len)]
+        n += leg_len
+    return fe.make_graph(n, edges)
+
+
+@pytest.mark.parametrize("distinct_pairs", [False, True])
+@pytest.mark.parametrize(
+    "legs, leg_len, ring",
+    # eps3 rises by one per step out along a spider's leg, so all leg
+    # vertices but a few next to vertex 0 take the cap exit.  A tadpole
+    # (one leg on a ring) keeps eps3 level along its tail, so there the
+    # parent's pair falls short of the cap and the bound pass runs.
+    [(3, 20, 0), (3, 20, 5), (4, 7, 4), (1, 30, 5), (1, 30, 6)],
+)
+def test_pruned_agrees_on_spiders_and_tadpoles(legs, leg_len, ring, distinct_pairs):
+    g = _spider(legs, leg_len, ring)
+    d = all_pairs_distances(g)
+    ref = eps3_oracle(g, d, distinct_pairs=distinct_pairs).eps3
+    assert eps3_pruned(g, d, distinct_pairs=distinct_pairs).eps3 == ref
+
+
 @pytest.mark.parametrize("block", [1, 3])
 def test_pruned_agrees_with_small_blocks(block, monkeypatch):
     # graphs this small rarely leave more than one block of open pairs;

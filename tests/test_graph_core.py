@@ -153,6 +153,15 @@ def test_all_pairs_matches_bfs_rows():
     assert np.array_equal(d, d.T)
 
 
+def test_distances_reject_disconnected_graph():
+    g = make_graph(5, [(0, 1), (1, 2), (3, 4)], strict=False)
+    with pytest.raises(ConnectivityError):
+        all_pairs_distances(g)
+    for source in (0, 4):
+        with pytest.raises(ConnectivityError):
+            bfs_distances(g, source)
+
+
 def test_classify_kinds():
     assert classify(fe.path(6)).kind is GraphKind.TREE
     assert classify(fe.star(6)).kind is GraphKind.TREE

@@ -42,6 +42,24 @@ def test_apsp_rows_match_single_bfs(g):
         assert np.array_equal(d[u], bfs_distances(g, u))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=0, max_value=60),
+)
+def test_apsp_matches_networkx(n, seed, extra):
+    # all_pairs_distances and bfs_distances share one BFS, so networkx is the oracle
+    g = fe.random_connected(n, seed=seed, extra_edges=extra)
+    h = nx.Graph(g.edges)
+    h.add_nodes_from(range(n))
+    want = np.zeros((n, n), dtype=np.int64)
+    for u, row in nx.all_pairs_shortest_path_length(h):
+        for v, dist in row.items():
+            want[u, v] = dist
+    assert np.array_equal(all_pairs_distances(g), want)
+
+
 @settings(max_examples=40, deadline=None)
 @given(connected_graphs())
 def test_fermat_half_perimeter_lower_bound(g):
