@@ -145,11 +145,14 @@ def _summary_text(s: SweepSummary) -> str:
 
 
 def _parse_range(spec: str) -> range:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    v = int(spec)
-    return range(v, v + 1)
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..", 1)
+            return range(int(lo), int(hi) + 1)
+        v = int(spec)
+        return range(v, v + 1)
+    except ValueError:
+        raise UsageError(f"bad vertex count range {spec!r}; expected N or LO..HI") from None
 
 
 def _write_witnesses(summary: SweepSummary, witness_dir: str) -> None:
@@ -185,12 +188,14 @@ def cmd_compute(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.graph_class == "tree":
-        kind, cap = GraphKind.TREE, FREE_TREE_CAP
+        kind, least, cap = GraphKind.TREE, 1, FREE_TREE_CAP
     else:
-        kind, cap = GraphKind.UNICYCLIC, UNICYCLIC_CAP
+        kind, least, cap = GraphKind.UNICYCLIC, 3, UNICYCLIC_CAP
     ns = _parse_range(args.n_range)
     if len(ns) == 0:
         raise UsageError(f"empty range {args.n_range!r}")
+    if min(ns) < least:
+        raise UsageError(f"{args.graph_class} sweeps need n >= {least}, got {min(ns)}")
     if max(ns) > cap and not args.force:
         raise UsageError(
             f"n={max(ns)} exceeds the {args.graph_class} enumeration cap {cap} (use --force)"
@@ -211,11 +216,15 @@ def cmd_formula(args) -> int:
     if args.name == "bicyclic":
         if len(args.params) != 1:
             raise UsageError("formula bicyclic takes one parameter: x")
-        value = bicyclic_delta_formula(args.params[0])
+        formula = bicyclic_delta_formula
     else:
         if len(args.params) != 2:
             raise UsageError("formula multicyclic takes two parameters: k x")
-        value = multicyclic_delta_formula(args.params[0], args.params[1])
+        formula = multicyclic_delta_formula
+    try:  # the formulas raise ValueError only for out-of-domain parameters
+        value = formula(*args.params)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     sign = "positive" if value > 0 else ("negative" if value < 0 else "zero")
     if args.format == "json":
         payload = {
@@ -310,13 +319,10 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError, ConnectivityError, PreconditionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except Exception as exc:  # pragma: no cover
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -1,9 +1,11 @@
 """Graph families, random generators, exhaustive enumerators, formulas.
 
-Free trees come from canonical rooted trees, unicyclic and bicyclic
-classes from adding one edge to each class below.  All three keep the
-first graph of each `canonical_form`: the AHU forms of the hanging
-trees, read from the centres of a tree or along the 2-core's walks.
+Each enumerated class grows the class below by one step: free trees on
+n vertices hang a new leaf on each vertex of every tree on n - 1, and
+unicyclic and bicyclic classes add one non-edge to each class with one
+fewer cycle.  All three keep the first graph of each `canonical_form`:
+the AHU forms of the hanging trees, read from the centres of a tree or
+along the 2-core's walks.
 
 The two closed-form difference quotients for the multicyclic
 counterexample families are evaluated in exact rational arithmetic.
@@ -14,7 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import Iterator
 
@@ -223,65 +224,17 @@ def random_connected(n: int, seed: int, extra_edges: int | None = None) -> Graph
 
 
 # ---------------------------------------------------------------------------
-# free tree enumeration
-
-# A rooted tree is canonically a tuple of child canonical forms sorted in
-# decreasing (size, form) order; the empty tuple is the single vertex.
-
-
-@lru_cache(maxsize=None)
-def _canon_size(canon: tuple) -> int:
-    return 1 + sum(_canon_size(c) for c in canon)
-
-
-def _canon_key(canon: tuple):
-    return (_canon_size(canon), canon)
-
-
-@lru_cache(maxsize=None)
-def _rooted_trees(n: int) -> tuple[tuple, ...]:
-    if n == 1:
-        return ((),)
-    return tuple(_forests(n - 1, None))
-
-
-def _forests(total: int, bound) -> Iterator[tuple]:
-    # forests as non-increasing (size, canon) sequences summing to total
-    if total == 0:
-        yield ()
-        return
-    max_size = total if bound is None else min(total, bound[0])
-    for size in range(max_size, 0, -1):
-        for t in _rooted_trees(size):
-            key = (size, t)
-            if bound is not None and key > bound:
-                continue
-            for rest in _forests(total - size, key):
-                yield (t,) + rest
-
-
-def _canon_to_graph(canon: tuple) -> Graph:
-    edges = []
-    counter = [0]
-
-    def build(node: tuple, parent: int) -> None:
-        me = counter[0]
-        counter[0] += 1
-        if parent >= 0:
-            edges.append((parent, me))
-        for child in node:
-            build(child, me)
-
-    build(canon, -1)
-    return make_graph(counter[0], edges)
+# enumeration by augmentation + canonical-form dedup
 
 
 def canonical_form(g: Graph) -> tuple:
     """Isomorphism-class key of a connected graph with cyclomatic number <= 2.
 
     Leaves are peeled layer by layer; a peeled vertex's form is the tuple
-    of its child forms (a rooted AHU form), handed to its one surviving
-    neighbour.  A tree stops at its one or two centres.  A cyclic graph
+    of its child forms in decreasing tuple order (a rooted AHU form),
+    handed to its one surviving neighbour.  Any fixed order on the forms
+    would do: the key only has to be equal exactly on isomorphic graphs.
+    A tree stops at its one or two centres.  A cyclic graph
     stops at its 2-core, which has at most two hubs (core degree > 2);
     its key lists each hub's form with the walks along the core from it
     to the next hub.  A plain cycle takes the least key over its anchors.
@@ -300,12 +253,12 @@ def canonical_form(g: Graph) -> tuple:
             left.remove(u)
             for v in adj[u]:
                 if v in left:
-                    children[v].append(tuple(sorted(children[u], key=_canon_key, reverse=True)))
+                    children[v].append(tuple(sorted(children[u], reverse=True)))
                     degree[v] -= 1
                     if degree[v] == 1:
                         nxt.append(v)
         layer = nxt
-    form = {u: tuple(sorted(children[u], key=_canon_key, reverse=True)) for u in left}
+    form = {u: tuple(sorted(children[u], reverse=True)) for u in left}
     if cyclomatic == 0:
         centres = sorted(form.values(), reverse=True)
         return centres[0] if len(centres) == 1 else tuple(centres)
@@ -346,11 +299,14 @@ def enumerate_free_trees(n: int, max_n: int = FREE_TREE_CAP) -> Iterator[Graph]:
         raise ValueError(
             f"n={n} exceeds the free-tree enumeration cap {max_n}; raise max_n to override"
         )
-    yield from _first_of_each_class(_canon_to_graph(canon) for canon in _rooted_trees(n))
-
-
-# ---------------------------------------------------------------------------
-# unicyclic / bicyclic enumeration via augmentation + canonical-form dedup
+    if n == 1:
+        yield make_graph(1, [])
+        return
+    yield from _first_of_each_class(
+        make_graph(n, t.edges + ((u, n - 1),))
+        for t in enumerate_free_trees(n - 1, max_n)
+        for u in range(n - 1)
+    )
 
 
 def _augmentations(g: Graph) -> Iterator[Graph]:

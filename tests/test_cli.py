@@ -131,11 +131,21 @@ def test_missing_file_exit_code(tmp_path):
     assert code == 3
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     code, _, _ = run_cli("compute")
     assert code == 2
     code, _, _ = run_cli("no-such-command")
     assert code == 2
+    # arguments argparse accepts but the command's domain does not
+    for argv in (
+        ["verify", "tree", "a..b"],
+        ["verify", "tree", "0..3"],
+        ["verify", "unicyclic", "2..5"],
+        ["formula", "bicyclic", "-1"],
+        ["formula", "multicyclic", "2", "0"],
+    ):
+        assert main(argv) == 2, argv
+        assert "usage error" in capsys.readouterr().err
 
 
 def test_verify_tree_sweep(capsys):
@@ -238,6 +248,19 @@ def test_internal_error_exit_code(p4_file, monkeypatch, capsys):
     monkeypatch.setattr(cli, "full_report", broken)
     assert main(["compute", "--input", p4_file]) == 5
     assert "invariant failed" in capsys.readouterr().err
+
+
+def test_stray_value_error_is_internal(p4_file, monkeypatch, capsys):
+    # only the command-line checks make usage errors; a ValueError from
+    # inside the library is a bug
+    import fermatecc.cli as cli
+
+    def broken(g, d=None):
+        raise ValueError("stray")
+
+    monkeypatch.setattr(cli, "full_report", broken)
+    assert main(["compute", "--input", p4_file]) == 5
+    assert "internal error: stray" in capsys.readouterr().err
 
 
 def test_sweep_invariant_failure_is_internal(monkeypatch, capsys):

@@ -123,10 +123,11 @@ def test_random_connected_extra_edges():
 # enumeration
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 15))
 def test_free_tree_class_counts(n):
-    got = sum(1 for _ in enumerate_free_trees(n))
-    assert got == FREE_TREE_COUNTS[n - 1]
+    # A000055; n = 13 and 14 run past the cap
+    got = sum(1 for _ in enumerate_free_trees(n, max_n=14))
+    assert got == (FREE_TREE_COUNTS + (1301, 3159))[n - 1]
 
 
 def test_free_trees_are_distinct_trees():
@@ -149,14 +150,23 @@ def test_free_trees_match_prufer_oracle(n):
     assert enumerated == oracle
 
 
-UNICYCLIC_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240}
+# A001429 and A001435; n = 10 and 9 run past the caps
+UNICYCLIC_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657}
+BICYCLIC_COUNTS = {4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797}
 
 
 @pytest.mark.parametrize("n", sorted(UNICYCLIC_COUNTS))
 def test_unicyclic_class_counts(n):
-    graphs = list(enumerate_unicyclic(n))
+    graphs = list(enumerate_unicyclic(n, max_n=n))
     assert len(graphs) == UNICYCLIC_COUNTS[n]
     assert all(g.m == g.n == n for g in graphs)
+
+
+@pytest.mark.parametrize("n", sorted(BICYCLIC_COUNTS))
+def test_bicyclic_class_counts(n):
+    graphs = list(enumerate_bicyclic(n, max_n=n))
+    assert len(graphs) == BICYCLIC_COUNTS[n]
+    assert all(g.m == g.n + 1 == n + 1 for g in graphs)
 
 
 def test_bicyclic_enumeration_small():
@@ -215,10 +225,24 @@ def test_enumerated_classes_have_distinct_forms(enumerate_class, n):
     _assert_forms_match_isomorphism(graphs)
 
 
-@pytest.mark.parametrize("enumerate_base, n", [(enumerate_free_trees, 7), (enumerate_unicyclic, 6)])
-def test_forms_of_augmentations_match_isomorphism(enumerate_base, n):
+def _leaf_extensions(t):
+    # the raw candidates enumerate_free_trees dedups: a new leaf on each vertex
+    return [make_graph(t.n + 1, t.edges + ((u, t.n),)) for u in range(t.n)]
+
+
+@pytest.mark.parametrize(
+    "enumerate_base, n, grow",
+    [
+        pytest.param(enumerate_free_trees, 7, _augmentations, id="enumerate_free_trees-7"),
+        pytest.param(enumerate_unicyclic, 6, _augmentations, id="enumerate_unicyclic-6"),
+        # 10 vertices is the least where a peeled vertex (not a centre) has two
+        # children of equal height and different shape, so child order matters
+        pytest.param(enumerate_free_trees, 9, _leaf_extensions, id="leaf_extensions-9"),
+    ],
+)
+def test_forms_of_augmentations_match_isomorphism(enumerate_base, n, grow):
     # the raw augmentations hold many isomorphic copies, so equal forms occur
-    _assert_forms_match_isomorphism([g for b in enumerate_base(n) for g in _augmentations(b)])
+    _assert_forms_match_isomorphism([g for b in enumerate_base(n) for g in grow(b)])
 
 
 def test_canonical_form_of_named_cores():
