@@ -10,7 +10,7 @@ import fermatecc as fe
 
 def main():
     max_n = 10
-    summary = fe.sweep_class(fe.GraphKind.TREE, range(2, max_n + 1), max_n=max_n)
+    summary = fe.sweep_class(fe.GraphKind.TREE, range(2, max_n + 1))
     print(f"checked {summary.instance_count} tree classes, n = 2..{max_n}")
     print(f"failures: {len(summary.failures)}")
     for f in summary.failures:
@@ -23,7 +23,7 @@ def main():
 
     n = 9
     print(f"\nF1 range over all trees with n={n}:")
-    reports = [fe.full_report(g) for g in fe.enumerate_free_trees(n)]
+    reports = [fe.full_report(g) for g in fe.enumerate_free_trees(n) if g.n == n]
     f1s = sorted(r.f1 for r in reports)
     star = fe.full_report(fe.star(n))
     path = fe.full_report(fe.path(n))

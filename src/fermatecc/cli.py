@@ -14,12 +14,7 @@ import os
 import sys
 
 from .errors import ConnectivityError, GraphError, ParseError, PreconditionError, ValidationError
-from .generators import (
-    FREE_TREE_CAP,
-    UNICYCLIC_CAP,
-    bicyclic_delta_formula,
-    multicyclic_delta_formula,
-)
+from .generators import bicyclic_delta_formula, multicyclic_delta_formula
 from .graph import Graph, GraphKind, from_graph6, parse_edge_list, to_edge_list
 from .indices import IndexReport, full_report
 from .verify import SEARCH_STRATEGIES, SweepSummary, search_counterexample, sweep_class
@@ -32,6 +27,10 @@ EXIT_INCOMPLETE = 4
 EXIT_INTERNAL = 5
 
 CSV_COLUMNS = "name,n,m,class,f1,f2,e1,e2,z1,z2,comparison"
+
+# largest n a verify sweep enumerates without --force
+FREE_TREE_CAP = 12
+UNICYCLIC_CAP = 9
 
 
 class UsageError(Exception):
@@ -101,10 +100,17 @@ def _report_text(name: str, rep: IndexReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        _write(output, text)
     else:
         sys.stdout.write(text)
 
@@ -156,7 +162,10 @@ def _parse_range(spec: str) -> range:
 
 
 def _write_witnesses(summary: SweepSummary, witness_dir: str) -> None:
-    os.makedirs(witness_dir, exist_ok=True)
+    try:
+        os.makedirs(witness_dir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot write {witness_dir}: {exc.strerror}") from None
     records = []
     named = [("failure", f.instance) for f in summary.failures]
     named += [("positive", g6) for g6 in summary.positive_instances]
@@ -165,12 +174,12 @@ def _write_witnesses(summary: SweepSummary, witness_dir: str) -> None:
         g = from_graph6(g6)
         rep = summary.reports.get(g6) or full_report(g)  # a sweep failure has no report
         base = f"{tag}_{i:04d}"
-        with open(os.path.join(witness_dir, base + ".edges"), "w") as fh:
-            fh.write(to_edge_list(g))
+        _write(os.path.join(witness_dir, base + ".edges"), to_edge_list(g))
         records.append({"file": base + ".edges", "kind": tag, "graph6": g6, **_report_dict(rep)})
-    with open(os.path.join(witness_dir, "witnesses.json"), "w") as fh:
-        json.dump(records, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(
+        os.path.join(witness_dir, "witnesses.json"),
+        json.dumps(records, indent=2, sort_keys=True) + "\n",
+    )
 
 
 def cmd_compute(args) -> int:
@@ -200,7 +209,7 @@ def cmd_verify(args) -> int:
         raise UsageError(
             f"n={max(ns)} exceeds the {args.graph_class} enumeration cap {cap} (use --force)"
         )
-    summary = sweep_class(kind, ns, max_n=max(ns))
+    summary = sweep_class(kind, ns)
     if args.format == "json":
         _emit(json.dumps(_summary_dict(summary), sort_keys=True) + "\n", args.output)
     else:
@@ -241,6 +250,8 @@ def cmd_formula(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.budget is not None and args.budget < 0:
+        raise UsageError(f"--budget must be at least 0, got {args.budget}")
     summary = search_counterexample(
         args.strategy,
         budget=args.budget,

@@ -1,11 +1,12 @@
 """Graph families, random generators, exhaustive enumerators, formulas.
 
-Each enumerated class grows the class below by one step: free trees on
-n vertices hang a new leaf on each vertex of every tree on n - 1, and
-unicyclic and bicyclic classes add one non-edge to each class with one
-fewer cycle.  All three keep the first graph of each `canonical_form`:
-the AHU forms of the hanging trees, read from the centres of a tree or
-along the 2-core's walks.
+Each enumerator streams one graph per isomorphism class on every vertex
+count up to max_n, in increasing n, and grows each level once: free
+trees on n vertices hang a new leaf on each vertex of every tree on
+n - 1, and unicyclic and bicyclic classes add one non-edge to each class
+with one fewer cycle.  All three keep the first graph of each
+`canonical_form`: the AHU forms of the hanging trees, read from the
+centres of a tree or along the 2-core's walks.
 
 The two closed-form difference quotients for the multicyclic
 counterexample families are evaluated in exact rational arithmetic.
@@ -31,12 +32,6 @@ from .graph import (
     eccentricity2_profile,
     make_graph,
 )
-
-FREE_TREE_CAP = 12
-UNICYCLIC_CAP = 9
-
-# Isomorphism-class counts of free trees, n = 1..12 (reference sequence).
-FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551)
 
 
 # ---------------------------------------------------------------------------
@@ -291,22 +286,19 @@ def _first_of_each_class(graphs) -> Iterator[Graph]:
             yield g
 
 
-def enumerate_free_trees(n: int, max_n: int = FREE_TREE_CAP) -> Iterator[Graph]:
-    """One representative per isomorphism class of n-vertex trees."""
-    if n < 1:
-        raise ValueError(f"enumerate_free_trees needs n >= 1, got {n}")
-    if n > max_n:
-        raise ValueError(
-            f"n={n} exceeds the free-tree enumeration cap {max_n}; raise max_n to override"
-        )
-    if n == 1:
-        yield make_graph(1, [])
-        return
-    yield from _first_of_each_class(
-        make_graph(n, t.edges + ((u, n - 1),))
-        for t in enumerate_free_trees(n - 1, max_n)
-        for u in range(n - 1)
-    )
+def enumerate_free_trees(max_n: int) -> Iterator[Graph]:
+    """One tree per isomorphism class on 1..max_n vertices, by increasing n."""
+    level = [make_graph(1, [])]
+    for n in range(1, max_n + 1):
+        if n > 1:
+            # a tree's form does not fix its size (P2 and P3 share one), so
+            # each level dedups on its own
+            level = list(
+                _first_of_each_class(
+                    make_graph(n, t.edges + ((u, n - 1),)) for t in level for u in range(n - 1)
+                )
+            )
+        yield from level
 
 
 def _augmentations(g: Graph) -> Iterator[Graph]:
@@ -317,29 +309,18 @@ def _augmentations(g: Graph) -> Iterator[Graph]:
                 yield make_graph(g.n, list(g.edges) + [(u, v)])
 
 
-def enumerate_unicyclic(n: int, max_n: int = UNICYCLIC_CAP) -> Iterator[Graph]:
-    """One representative per isomorphism class of connected graphs with m = n."""
-    if n < 3:
-        raise ValueError(f"enumerate_unicyclic needs n >= 3, got {n}")
-    if n > max_n:
-        raise ValueError(
-            f"n={n} exceeds the unicyclic enumeration cap {max_n}; raise max_n to override"
-        )
+def enumerate_unicyclic(max_n: int) -> Iterator[Graph]:
+    """One connected graph with m = n per class on 3..max_n vertices, by increasing n."""
+    # a cyclic graph's form fixes its size, so one dedup covers every level
     yield from _first_of_each_class(
-        g for t in enumerate_free_trees(n, max_n=max(n, FREE_TREE_CAP)) for g in _augmentations(t)
+        g for t in enumerate_free_trees(max_n) for g in _augmentations(t)
     )
 
 
-def enumerate_bicyclic(n: int, max_n: int = 8) -> Iterator[Graph]:
-    """One representative per isomorphism class of connected graphs with m = n + 1."""
-    if n < 4:
-        raise ValueError(f"enumerate_bicyclic needs n >= 4, got {n}")
-    if n > max_n:
-        raise ValueError(
-            f"n={n} exceeds the bicyclic enumeration cap {max_n}; raise max_n to override"
-        )
+def enumerate_bicyclic(max_n: int) -> Iterator[Graph]:
+    """One connected graph with m = n + 1 per class on 4..max_n vertices, by increasing n."""
     yield from _first_of_each_class(
-        g for base in enumerate_unicyclic(n, max_n=max(n, UNICYCLIC_CAP)) for g in _augmentations(base)
+        g for base in enumerate_unicyclic(max_n) for g in _augmentations(base)
     )
 
 

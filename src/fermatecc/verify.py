@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -202,22 +203,24 @@ def check_eccentric_analogue(g: Graph, report=None) -> CheckOutcome:
     return _outcome("eccentric_analogue", g, problems)
 
 
-def sweep_class(kind: GraphKind, n_values, max_n: int | None = None) -> SweepSummary:
-    """Run all applicable checks on every enumerated isomorphism class."""
+def sweep_class(kind: GraphKind, n_values) -> SweepSummary:
+    """Run all applicable checks on every enumerated isomorphism class.
+
+    One enumeration pass grows every level up to max(n_values); the
+    sizes not in n_values are skipped.
+    """
     if kind is GraphKind.TREE:
-        summary = SweepSummary(swept="tree")
+        summary, enumerate_class = SweepSummary(swept="tree"), enumerate_free_trees
     elif kind is GraphKind.UNICYCLIC:
-        summary = SweepSummary(swept="unicyclic")
+        summary, enumerate_class = SweepSummary(swept="unicyclic"), enumerate_unicyclic
     else:
         raise ValueError("sweep_class handles tree and unicyclic classes only")
+    wanted = set(n_values)
 
-    for n in n_values:
-        extremes: dict[str, tuple[int, Graph]] = {}
-        star_vals = path_vals = None
-        if kind is GraphKind.TREE:
-            graphs = enumerate_free_trees(n, max_n=max_n or n)
-        else:
-            graphs = enumerate_unicyclic(n, max_n=max_n or n)
+    for n, graphs in groupby(enumerate_class(max(wanted, default=0)), key=lambda g: g.n):
+        if n not in wanted:
+            continue
+        level = []  # (report, graph) of each tree, for the extremal theorem
         for g in graphs:
             summary.instance_count += 1
             d = all_pairs_distances(g)
@@ -229,33 +232,26 @@ def sweep_class(kind: GraphKind, n_values, max_n: int | None = None) -> SweepSum
             ]
             if kind is GraphKind.TREE and n >= 2:
                 outcomes.append(check_diametrical_lemmas(g, d, report.eps3))
+                level.append((report, g))
             summary.failures.extend(o for o in outcomes if not o.passed)
             if report.comparison is Comparison.ZERO:
                 summary.equality_instances.append(to_graph6(g))
-            if kind is GraphKind.TREE and n >= 3:
-                for name, val in (("f1", report.f1), ("f2", report.f2)):
-                    lo_key, hi_key = f"min_{name}", f"max_{name}"
-                    if lo_key not in extremes or val < extremes[lo_key][0]:
-                        extremes[lo_key] = (val, g)
-                    if hi_key not in extremes or val > extremes[hi_key][0]:
-                        extremes[hi_key] = (val, g)
-                if max(g.degree(u) for u in range(g.n)) == n - 1:
-                    star_vals = (report.f1, report.f2)
-                if is_path_graph(g):
-                    path_vals = (report.f1, report.f2)
         if kind is GraphKind.TREE and n >= 3:
             # extremal theorem: star minimises and path maximises F1 and F2
-            for idx, name in ((0, "f1"), (1, "f2")):
-                for side, vals, shape in (("min", star_vals, "star"), ("max", path_vals, "path")):
-                    val, h = extremes[f"{side}_{name}"]
-                    if vals[idx] != val:
+            star = next(r for r, g in level if max(map(len, g.adj)) == n - 1)
+            path = next(r for r, g in level if is_path_graph(g))
+            ends = (("min", min, "star", star), ("max", max, "path", path))
+            for name in ("f1", "f2"):
+                for side, pick, shape, shape_report in ends:
+                    best, h = pick(level, key=lambda rg: getattr(rg[0], name))
+                    val, want = getattr(best, name), getattr(shape_report, name)
+                    if want != val:
                         summary.failures.append(
                             CheckOutcome(
                                 "tree_extremes",
                                 to_graph6(h),
                                 False,
-                                f"n={n}: {side} {name}={val} "
-                                f"not attained by the {shape} ({vals[idx]})",
+                                f"n={n}: {side} {name}={val} not attained by the {shape} ({want})",
                             )
                         )
     return summary
@@ -317,19 +313,15 @@ def search_counterexample(
 
     if strategy == "exhaustive-small":
         budget = budget if budget is not None else 10_000
-        done = False
-        for n in range(4, max_n + 1):
-            for g in enumerate_bicyclic(n, max_n=max_n):
-                if summary.instance_count >= budget:
-                    done = True
-                    break
-                summary.instance_count += 1
-                _record(summary, g, full_report(g))
-            if done:
+        for g in enumerate_bicyclic(max_n):
+            if summary.instance_count >= budget:
+                # exhaustive over all classes in range: complete even if one
+                # side has no instance at these sizes, unless the budget cut
+                # it short
+                summary.complete = False
                 break
-        # exhaustive over all classes in range: complete even if one side
-        # has no instance at these sizes, unless the budget cut it short
-        summary.complete = not done
+            summary.instance_count += 1
+            _record(summary, g, full_report(g))
     elif strategy == "family-sweep":
         budget = budget if budget is not None else 200
         for g in _family_grid():

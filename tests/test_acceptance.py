@@ -44,7 +44,7 @@ def _pass(criterion, detail, started):
 
 @pytest.fixture(scope="module")
 def tree_sweep():
-    return sweep_class(GraphKind.TREE, range(2, 11), max_n=10)
+    return sweep_class(GraphKind.TREE, range(2, 11))
 
 
 @pytest.fixture(scope="module")
@@ -55,18 +55,16 @@ def unicyclic_sweep():
 def test_criterion_1_oracle_equivalence():
     started = time.monotonic()
     checked = 0
-    for n in range(1, 11):
-        for g in enumerate_free_trees(n):
-            d = all_pairs_distances(g)
-            ref = eps3_oracle(g, d).eps3
-            assert eps3_pruned(g, d).eps3 == ref, to_graph6(g)
-            assert eps3_tree(g, d).eps3 == ref, to_graph6(g)
-            checked += 1
-    for n in range(3, 9):
-        for g in enumerate_unicyclic(n):
-            d = all_pairs_distances(g)
-            assert eps3_pruned(g, d).eps3 == eps3_oracle(g, d).eps3, to_graph6(g)
-            checked += 1
+    for g in enumerate_free_trees(10):
+        d = all_pairs_distances(g)
+        ref = eps3_oracle(g, d).eps3
+        assert eps3_pruned(g, d).eps3 == ref, to_graph6(g)
+        assert eps3_tree(g, d).eps3 == ref, to_graph6(g)
+        checked += 1
+    for g in enumerate_unicyclic(8):
+        d = all_pairs_distances(g)
+        assert eps3_pruned(g, d).eps3 == eps3_oracle(g, d).eps3, to_graph6(g)
+        checked += 1
     for seed in range(500):
         n = 4 + (seed * 7) % 57  # deterministic spread over 4..60
         g = random_connected(n, seed=seed)
@@ -97,9 +95,12 @@ def test_criterion_3_tree_extremes():
     started = time.monotonic()
     from fermatecc.generators import canonical_form
 
+    levels = {}
+    for g in enumerate_free_trees(10):
+        levels.setdefault(g.n, []).append(g)
     for n in range(3, 11):
         values = {}
-        for g in enumerate_free_trees(n):
+        for g in levels[n]:
             rep = full_report(g)
             values[canonical_form(g)] = (rep.f1, rep.f2)
         star6 = canonical_form(fe.star(n))
@@ -126,13 +127,14 @@ def test_criterion_4_unicyclic_inequality_sweep(unicyclic_sweep):
 def test_criterion_5_lemma_suite():
     started = time.monotonic()
     enumerated = 0
-    for n in range(2, 11):
-        for t in enumerate_free_trees(n):
-            out = check_diametrical_lemmas(t)
-            assert out.passed, f"{out.instance}: {out.detail}"
-            out = check_edge_lipschitz(t)
-            assert out.passed, f"{out.instance}: {out.detail}"
-            enumerated += 1
+    for t in enumerate_free_trees(10):
+        if t.n < 2:
+            continue
+        out = check_diametrical_lemmas(t)
+        assert out.passed, f"{out.instance}: {out.detail}"
+        out = check_edge_lipschitz(t)
+        assert out.passed, f"{out.instance}: {out.detail}"
+        enumerated += 1
     for seed in range(1000):
         n = 2 + (seed % 59)  # deterministic spread over 2..60
         t = random_tree(n, seed=seed)

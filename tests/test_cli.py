@@ -143,9 +143,23 @@ def test_usage_error_exit_code(capsys):
         ["verify", "unicyclic", "2..5"],
         ["formula", "bicyclic", "-1"],
         ["formula", "multicyclic", "2", "0"],
+        ["search", "exhaustive-small", "--budget", "-1"],
     ):
         assert main(argv) == 2, argv
         assert "usage error" in capsys.readouterr().err
+
+
+def test_unwritable_output_is_usage_error(p4_file, tmp_path, capsys):
+    # a path under a regular file can be neither opened nor created
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    target = str(blocker / "sub")
+    for argv in (
+        ["compute", "--input", p4_file, "--output", target],
+        ["search", "exhaustive-small", "--max-n", "5", "--witness-dir", target],
+    ):
+        assert main(argv) == 2, argv
+        assert f"usage error: cannot write {target}" in capsys.readouterr().err
 
 
 def test_verify_tree_sweep(capsys):

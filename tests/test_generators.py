@@ -27,7 +27,7 @@ from fermatecc import (
     theta,
     two_cycles_with_tail,
 )
-from fermatecc.generators import FREE_TREE_COUNTS, _augmentations, _prufer_decode, canonical_form
+from fermatecc.generators import _augmentations, _prufer_decode, canonical_form
 
 
 def spider(*legs):
@@ -123,16 +123,32 @@ def test_random_connected_extra_edges():
 # enumeration
 
 
+# Isomorphism-class counts: A000055, A001429 and A001435
+FREE_TREE_COUNTS = dict(enumerate((1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159), 1))
+UNICYCLIC_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806}
+BICYCLIC_COUNTS = {4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797, 10: 2678}
+_PINNED = {
+    enumerate_free_trees: FREE_TREE_COUNTS,
+    enumerate_unicyclic: UNICYCLIC_COUNTS,
+    enumerate_bicyclic: BICYCLIC_COUNTS,
+}
+
+
+@lru_cache(maxsize=None)
+def _levels(enumerate_class):
+    """{n: graphs} of one pass over a class, up to its largest pinned count."""
+    stream = enumerate_class(max(_PINNED[enumerate_class]))
+    return {n: tuple(level) for n, level in itertools.groupby(stream, key=lambda g: g.n)}
+
+
 @pytest.mark.parametrize("n", range(1, 15))
 def test_free_tree_class_counts(n):
-    # A000055; n = 13 and 14 run past the cap
-    got = sum(1 for _ in enumerate_free_trees(n, max_n=14))
-    assert got == (FREE_TREE_COUNTS + (1301, 3159))[n - 1]
+    assert len(_levels(enumerate_free_trees)[n]) == FREE_TREE_COUNTS[n]
 
 
 def test_free_trees_are_distinct_trees():
     seen = set()
-    for g in enumerate_free_trees(9):
+    for g in _levels(enumerate_free_trees)[9]:
         assert classify(g).kind is GraphKind.TREE
         key = canonical_form(g)
         assert key not in seen
@@ -146,44 +162,36 @@ def test_free_trees_match_prufer_oracle(n):
     oracle = set()
     for seq in itertools.product(range(n), repeat=n - 2):
         oracle.add(canonical_form(make_graph(n, _prufer_decode(list(seq), n))))
-    enumerated = {canonical_form(g) for g in enumerate_free_trees(n)}
+    enumerated = {canonical_form(g) for g in _levels(enumerate_free_trees)[n]}
     assert enumerated == oracle
-
-
-# A001429 and A001435; n = 10 and 9 run past the caps
-UNICYCLIC_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657}
-BICYCLIC_COUNTS = {4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797}
 
 
 @pytest.mark.parametrize("n", sorted(UNICYCLIC_COUNTS))
 def test_unicyclic_class_counts(n):
-    graphs = list(enumerate_unicyclic(n, max_n=n))
+    graphs = _levels(enumerate_unicyclic)[n]
     assert len(graphs) == UNICYCLIC_COUNTS[n]
     assert all(g.m == g.n == n for g in graphs)
 
 
 @pytest.mark.parametrize("n", sorted(BICYCLIC_COUNTS))
 def test_bicyclic_class_counts(n):
-    graphs = list(enumerate_bicyclic(n, max_n=n))
+    graphs = _levels(enumerate_bicyclic)[n]
     assert len(graphs) == BICYCLIC_COUNTS[n]
     assert all(g.m == g.n + 1 == n + 1 for g in graphs)
 
 
 def test_bicyclic_enumeration_small():
     # brute force over all 6-edge subsets of K5 yields 5 connected classes
-    graphs = list(enumerate_bicyclic(5))
+    graphs = [g for g in enumerate_bicyclic(5) if g.n == 5]
     assert all(g.m == g.n + 1 for g in graphs)
     assert len(graphs) == 5
     assert sum(1 for _ in enumerate_bicyclic(4)) == 1
 
 
-def test_enumeration_caps_enforced():
-    with pytest.raises(ValueError):
-        next(enumerate_free_trees(13))
-    with pytest.raises(ValueError):
-        next(enumerate_unicyclic(10))
-    # and the override works
-    assert sum(1 for _ in enumerate_unicyclic(10, max_n=10)) > 0
+def test_enumeration_below_class_minimum_is_empty():
+    assert list(enumerate_free_trees(0)) == []
+    assert list(enumerate_unicyclic(2)) == []
+    assert list(enumerate_bicyclic(3)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +200,7 @@ def test_enumeration_caps_enforced():
 
 @lru_cache(maxsize=None)
 def _cyclic_classes():
-    return tuple(enumerate_unicyclic(8)) + tuple(enumerate_bicyclic(7))
+    return _levels(enumerate_unicyclic)[8] + _levels(enumerate_bicyclic)[7]
 
 
 def _isomorphic(a, b):
@@ -220,7 +228,7 @@ def test_canonical_form_ignores_labels(data):
 
 @pytest.mark.parametrize("enumerate_class, n", [(enumerate_unicyclic, 8), (enumerate_bicyclic, 7)])
 def test_enumerated_classes_have_distinct_forms(enumerate_class, n):
-    graphs = list(enumerate_class(n))
+    graphs = _levels(enumerate_class)[n]
     assert len({canonical_form(g) for g in graphs}) == len(graphs)
     _assert_forms_match_isomorphism(graphs)
 
@@ -242,7 +250,7 @@ def _leaf_extensions(t):
 )
 def test_forms_of_augmentations_match_isomorphism(enumerate_base, n, grow):
     # the raw augmentations hold many isomorphic copies, so equal forms occur
-    _assert_forms_match_isomorphism([g for b in enumerate_base(n) for g in grow(b)])
+    _assert_forms_match_isomorphism([g for b in _levels(enumerate_base)[n] for g in grow(b)])
 
 
 def test_canonical_form_of_named_cores():

@@ -117,6 +117,20 @@ def test_sweep_analyses_each_tree_once(monkeypatch):
     assert calls["apsp"] == summary.instance_count
 
 
+def test_sweep_grows_each_level_once(monkeypatch):
+    import fermatecc.generators
+
+    calls = []
+    real = fermatecc.generators.canonical_form
+    monkeypatch.setattr(
+        fermatecc.generators, "canonical_form", lambda g: calls.append(g) or real(g)
+    )
+    sweep_class(GraphKind.TREE, range(2, 10))
+    # level k + 1 hangs a leaf on each of the k vertices of every tree on k
+    trees = (1, 1, 1, 2, 3, 6, 11, 23)  # A000055, k = 1..8
+    assert len(calls) == sum(k * t for k, t in enumerate(trees, 1))
+
+
 def test_sweep_tree_extremes_names_the_extremal_tree(monkeypatch):
     import fermatecc.verify
 
