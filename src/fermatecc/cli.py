@@ -197,7 +197,7 @@ def cmd_compute(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.graph_class == "tree":
-        kind, least, cap = GraphKind.TREE, 1, FREE_TREE_CAP
+        kind, least, cap = GraphKind.TREE, 2, FREE_TREE_CAP
     else:
         kind, least, cap = GraphKind.UNICYCLIC, 3, UNICYCLIC_CAP
     ns = _parse_range(args.n_range)
@@ -252,6 +252,8 @@ def cmd_formula(args) -> int:
 def cmd_search(args) -> int:
     if args.budget is not None and args.budget < 0:
         raise UsageError(f"--budget must be at least 0, got {args.budget}")
+    if args.strategy == "exhaustive-small" and args.max_n < 4:
+        raise UsageError(f"no bicyclic graph has fewer than 4 vertices; got --max-n {args.max_n}")
     summary = search_counterexample(
         args.strategy,
         budget=args.budget,

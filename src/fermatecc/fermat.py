@@ -13,8 +13,10 @@ Three interchangeable computation paths:
 * eps3_tree    -- O(n) per vertex fast path valid on trees only.
 
 The eccentricity of u maximises the Fermat distance of {u, v, w} over all
-ordered pairs (v, w) in V x V, repeats included (the literal definition);
-a flag restricts the maximum to distinct pairs for the dominance check.
+ordered pairs (v, w) in V x V, repeats included (the literal definition).
+For n >= 2 distinct pairs give the same maximum: F(u,v,v) = d(u,v) <= F(u,v,w).
+The fast paths return values only; the oracle alone can name a maximising
+pair and its Fermat vertex.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConnectivityError, InternalError, PreconditionError
+from .errors import ConnectivityError, PreconditionError
 from .graph import Graph, GraphKind, all_pairs_distances, classify
 
 
@@ -68,7 +70,6 @@ def eps3_oracle(
     g: Graph,
     d: np.ndarray | None = None,
     witnesses: bool = False,
-    distinct_pairs: bool = False,
 ) -> FermatProfile:
     """Exhaustive reference computation of all Fermat eccentricities.
 
@@ -85,8 +86,6 @@ def eps3_oracle(
         # F[v, w] = min_s (d[s,u] + d[s,v] + d[s,w]), full n x n table
         t = d[:, u][:, None, None] + d[:, :, None] + d[:, None, :]
         f = t.min(axis=0)
-        if distinct_pairs and n >= 2:
-            np.fill_diagonal(f, -1)
         best = int(f.max())
         eps.append(best)
         if witnesses:
@@ -99,23 +98,6 @@ def eps3_oracle(
         eps3=tuple(eps),
         witnesses=tuple(wits) if witnesses else None,
     )
-
-
-def _pair_bounds(d: np.ndarray, u: int):
-    """Lower and upper bounds on the Fermat distance of (u, v, w) pairs.
-
-    Lower: ceil of half the pairwise-distance perimeter (valid in every
-    graph since d(s,a)+d(s,b) >= d(a,b) for each of the three pairs).
-    Upper: route the triple through one of its own terminals.
-    """
-    row = d[u]
-    pv = row[:, None]
-    pw = row[None, :]
-    vw = d
-    perim = pv + pw + vw
-    lb = (perim + 1) // 2
-    ub = np.minimum(pv + pw, np.minimum(pv + vw, pw + vw))
-    return lb, ub
 
 
 # Pairs evaluated exactly per numpy call.  On the 400-vertex, 439-edge
@@ -141,12 +123,7 @@ def _bfs_tree(g: Graph) -> tuple[list[int], list[int]]:
     return order, parent
 
 
-def eps3_pruned(
-    g: Graph,
-    d: np.ndarray | None = None,
-    witnesses: bool = False,
-    distinct_pairs: bool = False,
-) -> FermatProfile:
+def eps3_pruned(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
     """Bound-pruned computation; value-identical to eps3_oracle.
 
     Vertices are visited in BFS order from vertex 0.  Across an edge
@@ -155,8 +132,10 @@ def eps3_pruned(
     the pair that attained eps3(p) is evaluated first; if it reaches the
     cap eps3(p) + 1, that is eps3(u) (the cap exit).  Otherwise the
     running maximum starts at the larger of that probe and the largest
-    lower bound of _pair_bounds over the pairs (v, w), v <= w, and stops
-    at the cap.  The pairs whose upper bound still beats it are
+    lower bound over the pairs (v, w), v <= w, and stops at the cap.
+    The lower bound is the ceiling of half the pairwise-distance
+    perimeter; the upper bound routes the triple through one of its own
+    terminals.  The pairs whose upper bound still beats it are
     evaluated exactly in blocks of _BLOCK, highest lower bound first,
     and filtered again after each raise.  pair_evaluations counts each
     probe and every pair of every evaluated block, so where the probe
@@ -166,20 +145,17 @@ def eps3_pruned(
     if d is None:
         d = all_pairs_distances(g)
     n = g.n
-    # as in eps3_oracle: one vertex has no distinct pair, so (0, 0) counts
-    distinct_pairs = distinct_pairs and n >= 2
     order, parent = _bfs_tree(g)
     if len(order) < n:
         raise ConnectivityError("eps3_pruned requires a connected graph")
     # distances are below n, so int32 sums cannot overflow; they run ~20%
     # faster than int64
     d32 = d.astype(np.int32)
-    iu, iw = np.triu_indices(n, k=1 if distinct_pairs else 0)
+    iu, iw = np.triu_indices(n)
     dvw = d32[iu, iw]
     eps = [0] * n
     # per vertex, the index into (iu, iw) of one pair whose exact value is eps[u]
     arg = [0] * n
-    wits: list[FermatWitness | None] = [None] * n
     evals = 0
     for u in order:
         du = d32[u]
@@ -215,36 +191,10 @@ def eps3_pruned(
                     cand = cand[ub[cand] > best]
         arg[u] = k
         eps[u] = best
-        if witnesses:
-            wits[u] = _lex_witness(d, u, best, *_pair_bounds(d, u), distinct_pairs)
-    return FermatProfile(
-        eps3=tuple(eps),
-        witnesses=tuple(wits) if witnesses else None,
-        pair_evaluations=evals,
-    )
+    return FermatProfile(eps3=tuple(eps), pair_evaluations=evals)
 
 
-def _lex_witness(d, u, target, lb, ub, distinct_pairs) -> FermatWitness:
-    """Lexicographically smallest (v, w) with Fermat distance == target."""
-    n = d.shape[0]
-    du = d[:, u]
-    for v in range(n):
-        wstart = v + 1 if distinct_pairs else v
-        for w in range(wstart, n):
-            if ub[v, w] < target:
-                continue
-            if lb[v, w] == ub[v, w]:
-                val = int(lb[v, w])
-            else:
-                val = int((du + d[:, v] + d[:, w]).min())
-            if val == target:
-                sums = du + d[:, v] + d[:, w]
-                sigma = int(sums.argmin())
-                return FermatWitness(pair=(v, w), fermat_vertex=sigma, value=target)
-    raise InternalError("witness search failed; bounds are inconsistent")
-
-
-def eps3_tree(g: Graph, d: np.ndarray | None = None, witnesses: bool = False) -> FermatProfile:
+def eps3_tree(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
     """Tree fast path: fix one eccentric endpoint, scan the second.
 
     On a tree the Fermat distance equals half the pairwise-distance
@@ -255,22 +205,12 @@ def eps3_tree(g: Graph, d: np.ndarray | None = None, witnesses: bool = False) ->
         raise PreconditionError("eps3_tree requires a tree")
     if d is None:
         d = all_pairs_distances(g)
-    n = g.n
     eps = []
-    wits: list[FermatWitness] = []
-    for u in range(n):
+    for u in range(g.n):
         vstar = int(d[u].argmax())
         perims = d[u, vstar] + d[u] + d[vstar]
-        half = perims // 2  # tree perimeters are even
-        best = int(half.max())
-        eps.append(best)
-        if witnesses:
-            w = int(half.argmax())
-            v, w = (vstar, w) if vstar <= w else (w, vstar)
-            sums = d[:, u] + d[:, v] + d[:, w]
-            sigma = int(sums.argmin())
-            wits.append(FermatWitness(pair=(v, w), fermat_vertex=sigma, value=best))
-    return FermatProfile(eps3=tuple(eps), witnesses=tuple(wits) if witnesses else None)
+        eps.append(int(perims.max()) // 2)  # tree perimeters are even
+    return FermatProfile(eps3=tuple(eps))
 
 
 def eps3_profile(g: Graph, d: np.ndarray | None = None) -> FermatProfile:

@@ -230,7 +230,7 @@ def sweep_class(kind: GraphKind, n_values) -> SweepSummary:
                 verify_main_inequality(g, report),
                 check_eccentric_analogue(g, report),
             ]
-            if kind is GraphKind.TREE and n >= 2:
+            if kind is GraphKind.TREE:
                 outcomes.append(check_diametrical_lemmas(g, d, report.eps3))
                 level.append((report, g))
             summary.failures.extend(o for o in outcomes if not o.passed)

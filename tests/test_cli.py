@@ -97,8 +97,6 @@ def test_edgeless_graph_exit_code(tmp_path):
     assert code == 3
     assert out == b""
     assert b"at least one edge" in err
-    code, _, _ = run_cli("verify", "tree", "1..3")
-    assert code == 3
 
 
 def test_multi_graph_g6_exit_code(tmp_path):
@@ -140,10 +138,12 @@ def test_usage_error_exit_code(capsys):
     for argv in (
         ["verify", "tree", "a..b"],
         ["verify", "tree", "0..3"],
+        ["verify", "tree", "1..3"],
         ["verify", "unicyclic", "2..5"],
         ["formula", "bicyclic", "-1"],
         ["formula", "multicyclic", "2", "0"],
         ["search", "exhaustive-small", "--budget", "-1"],
+        ["search", "exhaustive-small", "--max-n", "3"],
     ):
         assert main(argv) == 2, argv
         assert "usage error" in capsys.readouterr().err

@@ -79,19 +79,11 @@ def test_edge_lipschitz_everywhere(g):
     assert all(abs(eps3[u] - eps3[v]) <= 1 for u, v in g.edges)
 
 
-@settings(max_examples=40, deadline=None)
-@given(connected_graphs(max_n=11))
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs())
 def test_pruned_matches_oracle(g):
     d = all_pairs_distances(g)
     assert fe.eps3_pruned(g, d).eps3 == eps3_oracle(g, d).eps3
-
-
-@settings(max_examples=60, deadline=None)
-@given(connected_graphs(), st.booleans())
-def test_pruned_matches_oracle_both_pair_modes(g, distinct_pairs):
-    d = all_pairs_distances(g)
-    got = fe.eps3_pruned(g, d, distinct_pairs=distinct_pairs).eps3
-    assert got == eps3_oracle(g, d, distinct_pairs=distinct_pairs).eps3
 
 
 @settings(max_examples=40, deadline=None)
@@ -99,8 +91,12 @@ def test_pruned_matches_oracle_both_pair_modes(g, distinct_pairs):
 def test_distinct_pair_variant_dominated(g):
     d = all_pairs_distances(g)
     full = eps3_oracle(g, d).eps3
-    strict = eps3_oracle(g, d, distinct_pairs=True).eps3
-    assert all(s <= f for s, f in zip(strict, full))
+    # n >= 2, so every u has a distinct pair, and F(u, v, v) = d(u, v) <= F(u, v, w)
+    strict = tuple(
+        max(fermat_distance(d, u, v, w) for v in range(g.n) for w in range(g.n) if v != w)
+        for u in range(g.n)
+    )
+    assert full == strict
     # and eps3 always dominates the ordinary eccentricity
     ecc = fe.eccentricity2_profile(g, d).ecc
     assert all(e2 <= e3 for e2, e3 in zip(ecc, full))
