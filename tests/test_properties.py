@@ -79,11 +79,27 @@ def test_edge_lipschitz_everywhere(g):
     assert all(abs(eps3[u] - eps3[v]) <= 1 for u, v in g.edges)
 
 
-@settings(max_examples=100, deadline=None)
-@given(connected_graphs())
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(max_n=11))
 def test_pruned_matches_oracle(g):
     d = all_pairs_distances(g)
     assert fe.eps3_pruned(g, d).eps3 == eps3_oracle(g, d).eps3
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(), st.booleans())
+def test_pruned_matches_oracle_both_pair_modes(g, distinct_pairs):
+    # the pruned path takes the literal maximum over pairs; over distinct
+    # pairs only (v != w) the maximum is the same, since n >= 2 here
+    d = all_pairs_distances(g)
+    if distinct_pairs:
+        want = tuple(
+            max(fermat_distance(d, u, v, w) for v in range(g.n) for w in range(g.n) if v != w)
+            for u in range(g.n)
+        )
+    else:
+        want = eps3_oracle(g, d).eps3
+    assert fe.eps3_pruned(g, d).eps3 == want
 
 
 @settings(max_examples=40, deadline=None)
