@@ -3,6 +3,7 @@
 Three interchangeable computation paths:
 
 * eps3_oracle  -- exhaustive brute force over all pairs, the reference.
+                  One numpy broadcast covers _SOURCES vertices at once.
 * eps3_pruned  -- same values, skips pairs using exact lower/upper bounds.
                   Single-threaded: vertices are visited in BFS order, each
                   bounded by the edge-Lipschitz lemma |eps3(u) - eps3(p)|
@@ -11,6 +12,11 @@ Three interchangeable computation paths:
                   bound pass is skipped (the cap exit).  The pairs the
                   bounds leave open are evaluated in numpy blocks.
 * eps3_tree    -- O(n) per vertex fast path valid on trees only.
+
+eps3_profile picks by size and class: trees take eps3_tree, other graphs
+with at most _ORACLE_MAX_N vertices take eps3_oracle, whose n^4 table is
+cheaper there than the pruned path's per-vertex Python work, and larger
+graphs take eps3_pruned.
 
 The eccentricity of u maximises the Fermat distance of {u, v, w} over all
 ordered pairs (v, w) in V x V, repeats included (the literal definition).
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConnectivityError, PreconditionError
-from .graph import Graph, GraphKind, all_pairs_distances, classify
+from .graph import Graph, all_pairs_distances, is_connected
 
 
 @dataclass(frozen=True)
@@ -66,6 +72,20 @@ def fermat_vertices(d: np.ndarray, u: int, v: int, w: int) -> tuple[int, ...]:
     return tuple(int(s) for s in np.flatnonzero(sums == best))
 
 
+# Source vertices per oracle broadcast; the int32 table holds
+# _SOURCES * n^3 entries (14 MB at n = 61).  On random non-tree graphs
+# (2-vCPU Xeon VM) 8, 16 and 32 sources ran within noise of each other
+# for n <= 28, and two to six times as fast as one source at a time.
+_SOURCES = 16
+
+# eps3_profile sends non-tree graphs up to this size to the oracle.  On
+# random unicyclic, bicyclic and denser graphs (same VM, supplied d) the
+# oracle took 0.06 ms per graph at n = 12 against 0.25 ms for
+# eps3_pruned, 0.11 against 0.26-0.35 ms at n = 16 and 0.17-0.23 against
+# 0.26-0.30 ms at n = 20; from n = 24 on eps3_pruned was as fast or faster.
+_ORACLE_MAX_N = 20
+
+
 def eps3_oracle(
     g: Graph,
     d: np.ndarray | None = None,
@@ -73,27 +93,34 @@ def eps3_oracle(
 ) -> FermatProfile:
     """Exhaustive reference computation of all Fermat eccentricities.
 
-    No pruning: for each u the maximum runs over every pair (v, w).
-    Witnesses, when requested, pick the lexicographically smallest
-    maximising (v, w) and then the smallest minimising Fermat vertex.
+    No pruning: for each u the maximum runs over every pair (v, w), for
+    _SOURCES vertices u per numpy call.  Witnesses, when requested, pick
+    the lexicographically smallest maximising (v, w) and then the
+    smallest minimising Fermat vertex.
     """
     if d is None:
         d = all_pairs_distances(g)
+    elif not is_connected(g):  # all_pairs_distances checks it otherwise
+        raise ConnectivityError("eps3_oracle requires a connected graph")
     n = g.n
     eps = []
     wits: list[FermatWitness] = []
-    for u in range(n):
-        # F[v, w] = min_s (d[s,u] + d[s,v] + d[s,w]), full n x n table
-        t = d[:, u][:, None, None] + d[:, :, None] + d[:, None, :]
-        f = t.min(axis=0)
-        best = int(f.max())
-        eps.append(best)
+    d32 = d.astype(np.int32)
+    for start in range(0, n, _SOURCES):
+        us = np.arange(start, min(start + _SOURCES, n))
+        # f[i, v, w] = min_s (d[s,us[i]] + d[s,v] + d[s,w]), a full n x n table per source
+        f = (d32[:, us][:, :, None, None] + d32[:, None, :, None] + d32[:, None, None, :]).min(axis=0)
+        f = f.reshape(us.size, n * n)
+        best = f.max(axis=1)
+        eps.extend(best.tolist())
         if witnesses:
-            v, w = np.argwhere(f == best)[0]  # row-major -> lexicographic min
-            v, w = int(v), int(w)
-            sums = d[:, u] + d[:, v] + d[:, w]
-            sigma = int(sums.argmin())
-            wits.append(FermatWitness(pair=(v, w), fermat_vertex=sigma, value=best))
+            # argmax takes the first maximum: row-major, so the lexicographic min
+            v, w = np.divmod(f.argmax(axis=1), n)
+            sigma = (d[:, us] + d[:, v] + d[:, w]).argmin(axis=0)
+            wits.extend(
+                FermatWitness(pair=(int(a), int(b)), fermat_vertex=int(s), value=int(x))
+                for a, b, s, x in zip(v, w, sigma, best)
+            )
     return FermatProfile(
         eps3=tuple(eps),
         witnesses=tuple(wits) if witnesses else None,
@@ -201,22 +228,26 @@ def eps3_tree(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
     perimeter, and a farthest vertex from u can always serve as one of
     the two maximisers, so eps3(u) is a single O(n) scan per vertex.
     """
-    if classify(g).kind is not GraphKind.TREE:
+    if g.m != g.n - 1:  # a connected graph is a tree iff m = n - 1
         raise PreconditionError("eps3_tree requires a tree")
     if d is None:
         d = all_pairs_distances(g)
-    eps = []
-    for u in range(g.n):
-        vstar = int(d[u].argmax())
-        perims = d[u, vstar] + d[u] + d[vstar]
-        eps.append(int(perims.max()) // 2)  # tree perimeters are even
-    return FermatProfile(eps3=tuple(eps))
+    vstar = d.argmax(axis=1)
+    perims = d[np.arange(g.n), vstar][:, None] + d + d[vstar]
+    return FermatProfile(eps3=tuple((perims.max(axis=1) // 2).tolist()))  # tree perimeters are even
 
 
 def eps3_profile(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
-    """Fastest valid path: tree formula on trees, pruned scan otherwise."""
+    """Fastest valid path for g: eps3_tree on trees, eps3_oracle on other
+    graphs with at most _ORACLE_MAX_N vertices, eps3_pruned on the rest.
+
+    The size cut-off is measured (see _ORACLE_MAX_N); every path gives
+    the same values.
+    """
     if d is None:
         d = all_pairs_distances(g)
-    if classify(g).kind is GraphKind.TREE:
+    if g.m == g.n - 1:
         return eps3_tree(g, d)
+    if g.n <= _ORACLE_MAX_N:
+        return eps3_oracle(g, d)
     return eps3_pruned(g, d)

@@ -4,9 +4,10 @@ Each enumerator streams one graph per isomorphism class on every vertex
 count up to max_n, in increasing n, and grows each level once: free
 trees on n vertices hang a new leaf on each vertex of every tree on
 n - 1, and unicyclic and bicyclic classes add one non-edge to each class
-with one fewer cycle.  All three keep the first graph of each
-`canonical_form`: the AHU forms of the hanging trees, read from the
-centres of a tree or along the 2-core's walks.
+with one fewer cycle.  Each candidate is built from its parent by
+`_with_edge`, without make_graph's checks.  All three keep the first
+graph of each `canonical_form`: the AHU forms of the hanging trees, read
+from the centres of a tree or along the 2-core's walks.
 
 The two closed-form difference quotients for the multicyclic
 counterexample families are evaluated in exact rational arithmetic.
@@ -15,6 +16,7 @@ counterexample families are evaluated in exact rational arithmetic.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -237,36 +239,46 @@ def canonical_form(g: Graph) -> tuple:
     cyclomatic = g.m - g.n + 1
     if not 0 <= cyclomatic <= 2:
         raise PreconditionError(f"canonical_form needs cyclomatic number 0..2, got {cyclomatic}")
-    adj = g.adj
+    n, adj = g.n, g.adj
     degree = [len(a) for a in adj]
-    children: list[list[tuple]] = [[] for _ in range(g.n)]
-    left = set(range(g.n))
-    layer = [u for u in left if degree[u] == 1]
-    while layer and len(left) > 2:
+    children: list[list[tuple]] = [[] for _ in range(n)]
+    alive = [True] * n
+    left = n
+    layer = [u for u in range(n) if degree[u] == 1]
+    while layer and left > 2:
         nxt = []
         for u in layer:
-            left.remove(u)
+            alive[u] = False
+            left -= 1
+            children[u].sort(reverse=True)
+            peeled = tuple(children[u])
             for v in adj[u]:
-                if v in left:
-                    children[v].append(tuple(sorted(children[u], reverse=True)))
+                if alive[v]:
+                    children[v].append(peeled)
                     degree[v] -= 1
                     if degree[v] == 1:
                         nxt.append(v)
         layer = nxt
-    form = {u: tuple(sorted(children[u], reverse=True)) for u in left}
+    form = {}
+    for u in range(n):
+        if alive[u]:
+            children[u].sort(reverse=True)
+            form[u] = tuple(children[u])
     if cyclomatic == 0:
         centres = sorted(form.values(), reverse=True)
         return centres[0] if len(centres) == 1 else tuple(centres)
 
+    core = {u: [w for w in adj[u] if alive[w]] for u in form}
+
     def walks(x: int, stops) -> tuple:
         out = []
-        for v in adj[x]:
-            if v not in form:
-                continue
+        for v in core[x]:
             prev, cur, interior = x, v, []
             while cur not in stops:
                 interior.append(form[cur])
-                prev, cur = cur, next(w for w in adj[cur] if w in form and w != prev)
+                # a core vertex that is not a stop has exactly two core neighbours
+                a, b = core[cur]
+                prev, cur = cur, b if a == prev else a
             out.append((cur == x, tuple(interior)))
         return form[x], tuple(sorted(out))
 
@@ -286,6 +298,25 @@ def _first_of_each_class(graphs) -> Iterator[Graph]:
             yield g
 
 
+def _with_edge(g: Graph, u: int, v: int) -> Graph:
+    """g plus the non-edge (u, v), u < v; v == g.n hangs a new leaf on u.
+
+    Equal to make_graph on the grown edge list, without its validation
+    and connectivity search: adding an edge to a connected graph keeps
+    it connected.
+    """
+    edges = list(g.edges)
+    insort(edges, (u, v))
+    adj = list(g.adj)
+    if v == g.n:
+        adj.append(())
+    for a, b in ((u, v), (v, u)):
+        row = list(adj[a])
+        insort(row, b)
+        adj[a] = tuple(row)
+    return Graph(n=len(adj), edges=tuple(edges), adj=tuple(adj))
+
+
 def enumerate_free_trees(max_n: int) -> Iterator[Graph]:
     """One tree per isomorphism class on 1..max_n vertices, by increasing n."""
     level = [make_graph(1, [])]
@@ -294,9 +325,7 @@ def enumerate_free_trees(max_n: int) -> Iterator[Graph]:
             # a tree's form does not fix its size (P2 and P3 share one), so
             # each level dedups on its own
             level = list(
-                _first_of_each_class(
-                    make_graph(n, t.edges + ((u, n - 1),)) for t in level for u in range(n - 1)
-                )
+                _first_of_each_class(_with_edge(t, u, n - 1) for t in level for u in range(n - 1))
             )
         yield from level
 
@@ -306,7 +335,7 @@ def _augmentations(g: Graph) -> Iterator[Graph]:
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if v not in adj[u]:
-                yield make_graph(g.n, list(g.edges) + [(u, v)])
+                yield _with_edge(g, u, v)
 
 
 def enumerate_unicyclic(max_n: int) -> Iterator[Graph]:

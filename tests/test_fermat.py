@@ -102,7 +102,11 @@ def test_witness_validity_oracle():
         for u, wit in enumerate(prof.witnesses):
             v, w = wit.pair
             assert fermat_distance(d, u, v, w) == wit.value == prof.eps3[u]
-            assert wit.fermat_vertex in fermat_vertices(d, u, v, w)
+            # the rule: the lexicographically smallest maximising pair, then
+            # its smallest Fermat vertex
+            pairs = [(a, b) for a in range(g.n) for b in range(g.n) if fermat_distance(d, u, a, b) == wit.value]
+            assert wit.pair == min(pairs)
+            assert wit.fermat_vertex == min(fermat_vertices(d, u, v, w))
         assert eps3_profile(g, d).eps3 == prof.eps3
 
 
@@ -141,6 +145,16 @@ def test_eps3_profile_dispatch():
     assert eps3_profile(t).eps3 == eps3_oracle(t).eps3
     c = fe.cycle(9)
     assert eps3_profile(c).eps3 == eps3_oracle(c).eps3
+    # non-tree graphs just below and just above the oracle's size limit;
+    # only eps3_pruned counts pair evaluations
+    limit = fe.fermat._ORACLE_MAX_N
+    for n in (limit - 1, limit, limit + 1, limit + 2):
+        for seed in range(5):
+            g = fe.random_connected(n, seed=seed, extra_edges=1 + seed)
+            d = all_pairs_distances(g)
+            prof = eps3_profile(g, d)
+            assert prof.eps3 == eps3_oracle(g, d).eps3
+            assert (prof.pair_evaluations is None) == (n <= limit)
 
 
 @pytest.mark.parametrize("n", range(4, 8))
@@ -199,6 +213,18 @@ def test_pruned_agrees_with_small_blocks(block, monkeypatch):
         assert eps3_pruned(g, d).eps3 == eps3_oracle(g, d).eps3, seed
 
 
+@pytest.mark.parametrize("sources", [1, 3])
+def test_oracle_agrees_with_small_source_blocks(sources, monkeypatch):
+    # values and witnesses must not depend on how the sources are blocked
+    graphs = [fe.random_connected(2 + seed % 19, seed=seed, extra_edges=seed % 5) for seed in range(40)]
+    graphs += [fe.path(2), fe.random_tree(17, seed=1)]
+    monkeypatch.setattr(fe.fermat, "_SOURCES", max(g.n for g in graphs))
+    whole = [eps3_oracle(g, witnesses=True) for g in graphs]  # one block each
+    monkeypatch.setattr(fe.fermat, "_SOURCES", sources)
+    for g, ref in zip(graphs, whole):
+        assert eps3_oracle(g, witnesses=True) == ref, fe.to_graph6(g)
+
+
 def test_pruned_tiny_graphs():
     one = fe.make_graph(1, [])
     two = fe.path(2)
@@ -221,3 +247,9 @@ def test_pruned_rejects_disconnected_graph():
     g = fe.make_graph(4, [(0, 1), (2, 3)], strict=False)
     with pytest.raises(ConnectivityError):
         eps3_pruned(g, all_pairs_distances(fe.path(4)))
+    # two triangles, one with a pendant: not a tree, so eps3_profile takes
+    # the oracle, which must reject it too
+    g = fe.make_graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (5, 6)], strict=False)
+    for path in (eps3_oracle, eps3_profile):
+        with pytest.raises(ConnectivityError):
+            path(g, all_pairs_distances(fe.path(7)))

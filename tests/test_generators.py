@@ -1,5 +1,6 @@
 """Families, random generators, enumerators, decorations, formulas."""
 
+import hashlib
 import itertools
 from collections import defaultdict
 from functools import lru_cache
@@ -27,7 +28,7 @@ from fermatecc import (
     theta,
     two_cycles_with_tail,
 )
-from fermatecc.generators import _augmentations, _prufer_decode, canonical_form
+from fermatecc.generators import _augmentations, _prufer_decode, _with_edge, canonical_form
 
 
 def spider(*legs):
@@ -125,8 +126,8 @@ def test_random_connected_extra_edges():
 
 # Isomorphism-class counts: A000055, A001429 and A001435
 FREE_TREE_COUNTS = dict(enumerate((1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159), 1))
-UNICYCLIC_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806}
-BICYCLIC_COUNTS = {4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797, 10: 2678}
+UNICYCLIC_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806, 12: 5026}
+BICYCLIC_COUNTS = {4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797, 10: 2678, 11: 8833}
 _PINNED = {
     enumerate_free_trees: FREE_TREE_COUNTS,
     enumerate_unicyclic: UNICYCLIC_COUNTS,
@@ -178,6 +179,37 @@ def test_bicyclic_class_counts(n):
     graphs = _levels(enumerate_bicyclic)[n]
     assert len(graphs) == BICYCLIC_COUNTS[n]
     assert all(g.m == g.n + 1 == n + 1 for g in graphs)
+
+
+# sha256 of the newline-joined graph6 strings each enumerator streams up to
+# max_n: the first graph of each class, so a change of canonical keys or of
+# candidate order shows here
+GRAPH6_DIGESTS = [
+    (enumerate_free_trees, 12, "8ff52c9ac5354371831fbe22914b9e3842b64cb4aa67551efcbf9fc5d0a3fccc"),
+    (enumerate_unicyclic, 9, "c1f63eca85e1224a3422c9a073542efa98c6ad01ed99d2f7f5d629fa76caa7e5"),
+    (enumerate_bicyclic, 8, "af5552d77332a6fe85e4483d257c02daf9cfdfc428be7a619ee3de6e969d41ba"),
+]
+
+
+@pytest.mark.parametrize("enumerate_class, max_n, digest", GRAPH6_DIGESTS, ids=["tree", "unicyclic", "bicyclic"])
+def test_enumerated_representatives_are_pinned(enumerate_class, max_n, digest):
+    levels = _levels(enumerate_class)
+    text = "\n".join(fe.to_graph6(g) for n in sorted(levels) if n <= max_n for g in levels[n])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_with_edge_equals_make_graph():
+    # every candidate the enumerators grow: a new leaf or a non-edge on a
+    # tree, and a non-edge on a unicyclic graph
+    bases = [g for n in range(1, 10) for g in _levels(enumerate_free_trees)[n]]
+    bases += [g for n in range(3, 8) for g in _levels(enumerate_unicyclic)[n]]
+    for g in bases:
+        if g.m == g.n - 1:
+            for u in range(g.n):
+                assert _with_edge(g, u, g.n) == make_graph(g.n + 1, g.edges + ((u, g.n),))
+        for u, v in itertools.combinations(range(g.n), 2):
+            if not g.has_edge(u, v):
+                assert _with_edge(g, u, v) == make_graph(g.n, g.edges + ((u, v),))
 
 
 def test_bicyclic_enumeration_small():
