@@ -3,7 +3,8 @@
 Three interchangeable computation paths:
 
 * eps3_oracle  -- exhaustive brute force over all pairs, the reference.
-                  One numpy broadcast covers _SOURCES vertices at once.
+                  One numpy broadcast covers a block of source vertices,
+                  as many as fit in _TABLE entries.
 * eps3_pruned  -- same values, skips pairs using exact lower/upper bounds.
                   Single-threaded: vertices are visited in BFS order, each
                   bounded by the edge-Lipschitz lemma |eps3(u) - eps3(p)|
@@ -14,7 +15,7 @@ Three interchangeable computation paths:
 * eps3_tree    -- O(n) per vertex fast path valid on trees only.
 
 eps3_profile picks by size and class: trees take eps3_tree, other graphs
-with at most _ORACLE_MAX_N vertices take eps3_oracle, whose n^4 table is
+with at most _ORACLE_MAX_N vertices take eps3_oracle, whose n^4 sums are
 cheaper there than the pruned path's per-vertex Python work, and larger
 graphs take eps3_pruned.
 
@@ -72,11 +73,14 @@ def fermat_vertices(d: np.ndarray, u: int, v: int, w: int) -> tuple[int, ...]:
     return tuple(int(s) for s in np.flatnonzero(sums == best))
 
 
-# Source vertices per oracle broadcast; the int32 table holds
-# _SOURCES * n^3 entries (14 MB at n = 61).  On random non-tree graphs
-# (2-vCPU Xeon VM) 8, 16 and 32 sources ran within noise of each other
-# for n <= 28, and two to six times as fast as one source at a time.
-_SOURCES = 16
+# Entries in one oracle broadcast table (int32, 1 MB).  Each source
+# vertex takes n^3 entries, and a block holds as many sources as fit, at
+# least one: all n sources up to n = 22, and one source from n = 64 on.
+# On random non-tree graphs (2-vCPU Xeon VM, 4 MB L2) budgets of 2^16
+# to 2^22 entries ran within noise of each other for n <= 20, and 2^18
+# was the fastest or level with it at every n from 9 to 100; 2^22 was
+# 10-20% slower from n = 40 on.
+_TABLE = 1 << 18
 
 # eps3_profile sends non-tree graphs up to this size to the oracle.  On
 # random unicyclic, bicyclic and denser graphs (same VM, supplied d) the
@@ -93,10 +97,10 @@ def eps3_oracle(
 ) -> FermatProfile:
     """Exhaustive reference computation of all Fermat eccentricities.
 
-    No pruning: for each u the maximum runs over every pair (v, w), for
-    _SOURCES vertices u per numpy call.  Witnesses, when requested, pick
-    the lexicographically smallest maximising (v, w) and then the
-    smallest minimising Fermat vertex.
+    No pruning: for each u the maximum runs over every pair (v, w), for a
+    block of vertices u per numpy call, as many as fit in _TABLE entries.
+    Witnesses, when requested, pick the lexicographically smallest
+    maximising (v, w) and then the smallest minimising Fermat vertex.
     """
     if d is None:
         d = all_pairs_distances(g)
@@ -106,9 +110,11 @@ def eps3_oracle(
     eps = []
     wits: list[FermatWitness] = []
     d32 = d.astype(np.int32)
-    for start in range(0, n, _SOURCES):
-        us = np.arange(start, min(start + _SOURCES, n))
-        # f[i, v, w] = min_s (d[s,us[i]] + d[s,v] + d[s,w]), a full n x n table per source
+    step = max(1, _TABLE // n**3)
+    for start in range(0, n, step):
+        us = np.arange(start, min(start + step, n))
+        # f[i, v, w] = min_s (d[s,us[i]] + d[s,v] + d[s,w]); the sum before
+        # the min has us.size * n^3 entries
         f = (d32[:, us][:, :, None, None] + d32[:, None, :, None] + d32[:, None, None, :]).min(axis=0)
         f = f.reshape(us.size, n * n)
         best = f.max(axis=1)

@@ -4,6 +4,8 @@ The fast paths (eps3_pruned, eps3_tree) return values only; each is checked
 against eps3_oracle, which alone names a maximising pair.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -215,14 +217,31 @@ def test_pruned_agrees_with_small_blocks(block, monkeypatch):
 
 @pytest.mark.parametrize("sources", [1, 3])
 def test_oracle_agrees_with_small_source_blocks(sources, monkeypatch):
-    # values and witnesses must not depend on how the sources are blocked
+    # values and witnesses must not depend on how the sources are blocked;
+    # a table of k * n^3 entries holds k sources
     graphs = [fe.random_connected(2 + seed % 19, seed=seed, extra_edges=seed % 5) for seed in range(40)]
     graphs += [fe.path(2), fe.random_tree(17, seed=1)]
-    monkeypatch.setattr(fe.fermat, "_SOURCES", max(g.n for g in graphs))
-    whole = [eps3_oracle(g, witnesses=True) for g in graphs]  # one block each
-    monkeypatch.setattr(fe.fermat, "_SOURCES", sources)
-    for g, ref in zip(graphs, whole):
-        assert eps3_oracle(g, witnesses=True) == ref, fe.to_graph6(g)
+    for g in graphs:
+        monkeypatch.setattr(fe.fermat, "_TABLE", g.n**4)
+        whole = eps3_oracle(g, witnesses=True)  # one block
+        monkeypatch.setattr(fe.fermat, "_TABLE", sources * g.n**3)
+        assert eps3_oracle(g, witnesses=True) == whole, fe.to_graph6(g)
+
+
+@pytest.mark.parametrize("n", [40, 100])
+def test_oracle_table_stays_within_budget(n):
+    # a block of 16 sources would take 16 * n^3 int32 entries (4 MB at
+    # n = 40, 64 MB at n = 100); the block shrinks to fit _TABLE, and to
+    # one source's n^3 entries where even one does not fit
+    g = fe.random_connected(n, seed=n, extra_edges=4)
+    d = all_pairs_distances(g)
+    tracemalloc.start()
+    try:
+        eps3_oracle(g, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 4 * max(fe.fermat._TABLE, n**3)
 
 
 def test_pruned_tiny_graphs():
