@@ -9,6 +9,8 @@ Subcommands: compute, verify, formula, search.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -88,7 +90,10 @@ def _report_csv(name: str, rep: IndexReport) -> str:
         rep.z2,
         rep.comparison.value,
     ]
-    return CSV_COLUMNS + "\n" + ",".join(str(x) for x in row) + "\n"
+    buf = io.StringIO()
+    # quotes a field only where it holds a comma, a quote or a line break
+    csv.writer(buf, lineterminator="\n").writerow(row)
+    return CSV_COLUMNS + "\n" + buf.getvalue()
 
 
 def _report_text(name: str, rep: IndexReport) -> str:

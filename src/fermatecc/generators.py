@@ -361,11 +361,14 @@ def enumerate_bicyclic(max_n: int) -> Iterator[Graph]:
 class TreeDecoration:
     """Diametrical-path scaffolding of a tree.
 
-    diametrical_path is v_0..v_d and contains all central vertices.
-    subtree_depths[i-1] is the depth of the subtree hanging off v_i for
-    i = 1..d-1; ell is their maximum (0 when the path has no interior).
-    subtree_membership maps every vertex to the path index of the root
-    of its hanging subtree (path vertices map to their own index).
+    diametrical_path is v_0..v_D, read from its smaller end, and contains
+    all central vertices.  Every vertex v meets it at one vertex, its
+    foot: v_i with i = (d(v_0, v) + D - d(v_D, v)) / 2, and v hangs
+    (d(v_0, v) + d(v_D, v) - D) / 2 below it.  subtree_membership maps
+    every vertex to its foot's index (path vertices map to their own).
+    subtree_depths[i-1] is the depth of the subtree hanging off v_i, the
+    deepest vertex with foot v_i, for i = 1..D-1; ell is their maximum
+    (0 when the path has no interior).
     """
 
     diametrical_path: tuple[int, ...]
@@ -376,65 +379,49 @@ class TreeDecoration:
 
 
 def decorate_tree(t: Graph, d: np.ndarray | None = None) -> TreeDecoration:
+    """Decorate t along the double-BFS path, reading every field off d.
+
+    With a the first farthest vertex from 0, b the first farthest from a
+    and D = d(a, b), vertex v meets the a-b path (d(a, v) + D - d(b, v)) / 2
+    from a and hangs (d(a, v) + d(b, v) - D) / 2 below it; the path is
+    the set of vertices that hang at depth 0.
+    """
     if classify(t).kind is not GraphKind.TREE:
         raise PreconditionError("decorate_tree requires a tree")
     if d is None:
         d = all_pairs_distances(t)
-    n = t.n
     ecc = eccentricity2_profile(t, d)
     # double BFS; argmax picks the smallest id among ties
     a = int(d[0].argmax())
     b = int(d[a].argmax())
-    # parent pointers along BFS from a, neighbors visited in ascending order
-    parent = [-1] * n
-    dist = bfs_distances(t, a)
-    # spot-check a supplied d on the row the path is read from; with the
-    # tree's own d, the two checks below can only fail through a bug
-    if not np.array_equal(d[a], dist):
-        raise PreconditionError("d is not the distance matrix of the tree")
-    order = np.argsort(dist, kind="stable")
-    for u in order:
-        u = int(u)
-        for v in t.adj[u]:
-            if dist[v] == dist[u] + 1 and parent[v] == -1:
-                parent[v] = u
-    pth = [b]
-    while pth[-1] != a:
-        pth.append(parent[pth[-1]])
-    pth.reverse()
-    if tuple(reversed(pth)) < tuple(pth):
-        pth.reverse()
-    dlen = len(pth) - 1
+    # a path and its reverse differ in their first vertex, so starting at
+    # the smaller end reads the lexicographically smaller of the two
+    a, b = min(a, b), max(a, b)
+    # spot-check a supplied d on the two rows the decoration is read from;
+    # with the tree's own d, the two checks below can only fail through a bug
+    for r in (a, b):
+        if not np.array_equal(d[r], bfs_distances(t, r)):
+            raise PreconditionError("d is not the distance matrix of the tree")
+    dlen = int(d[a, b])
     if dlen != ecc.diameter:
         raise InternalError(f"double BFS path has length {dlen}, diameter is {ecc.diameter}")
+    pth = [a] * (dlen + 1)
+    depths = [0] * (dlen + 1)
+    membership = []
+    for v, (x, y) in enumerate(zip(d[a].tolist(), d[b].tolist())):
+        i, h = (x + dlen - y) // 2, (x + y - dlen) // 2
+        membership.append(i)
+        if h == 0:
+            pth[i] = v
+        depths[i] = max(depths[i], h)
     if not all(c in pth for c in ecc.center):
         raise InternalError("the diametral path misses a center vertex")
-
-    on_path = {v: i for i, v in enumerate(pth)}
-    membership = [-1] * n
-    for v, i in on_path.items():
-        membership[v] = i
-    # hang every off-path vertex off its interior path root
-    for i in range(1, dlen):
-        root = pth[i]
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in t.adj[u]:
-                if v in on_path or membership[v] != -1:
-                    continue
-                membership[v] = i
-                stack.append(v)
-    depths = []
-    for i in range(1, dlen):
-        members = [v for v in range(n) if membership[v] == i and v != pth[i]]
-        depths.append(max((int(d[pth[i], v]) for v in members), default=0))
-    ell = max(depths, default=0)
+    depths = depths[1:dlen]
     return TreeDecoration(
         diametrical_path=tuple(pth),
         center=ecc.center,
         subtree_depths=tuple(depths),
-        ell=ell,
+        ell=max(depths, default=0),
         subtree_membership=tuple(membership),
     )
 

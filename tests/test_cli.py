@@ -1,5 +1,7 @@
 """Command-line interface: formats, exit codes, determinism, witnesses."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -45,6 +47,17 @@ def test_compute_csv(p4_file, capsys):
     header, row = capsys.readouterr().out.strip().splitlines()
     assert header == "name,n,m,class,f1,f2,e1,e2,z1,z2,comparison"
     assert row == "p4,4,3,tree,36,27,26,16,10,8,zero"
+
+
+def test_compute_csv_quotes_the_name(tmp_path, capsys):
+    f = tmp_path / 'a,b "c".txt'
+    f.write_text(fe.to_edge_list(fe.path(4)))
+    assert main(["compute", "--input", str(f), "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[1] == '"a,b ""c""",4,3,tree,36,27,26,16,10,8,zero'
+    header, row = csv.reader(io.StringIO(out))
+    assert len(row) == len(header)
+    assert row[0] == 'a,b "c"'
 
 
 def test_compute_text(p4_file, capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 from collections import defaultdict
 from functools import lru_cache
 
@@ -341,6 +342,32 @@ def test_decorate_membership_additive():
         root = p[dec.subtree_membership[u]]
         # distance to any path vertex routes through the subtree root
         assert d[u, p[0]] == d[u, root] + d[root, p[0]]
+
+
+def _relabelled_random_trees():
+    rng = random.Random(10)
+    for n in (2, 3, 7, 15, 31, 60):
+        t = random_tree(n, seed=rng.randrange(2**32))
+        perm = rng.sample(range(n), n)
+        yield make_graph(n, [(perm[u], perm[v]) for u, v in t.edges])
+
+
+def test_decorate_matches_definition():
+    for t in itertools.chain(enumerate_free_trees(10), _relabelled_random_trees()):
+        d = fe.all_pairs_distances(t)
+        dec = decorate_tree(t, d)
+        a = int(d[0].argmax())
+        b = int(d[a].argmax())
+        p = tuple(nx.shortest_path(nx.Graph(t.edges), a, b)) if t.n > 1 else (0,)
+        p = min(p, p[::-1])
+        foot = [min(range(len(p)), key=lambda i: d[v, p[i]]) for v in range(t.n)]
+        depths = [
+            max(int(d[v, p[i]]) for v in range(t.n) if foot[v] == i) for i in range(1, len(p) - 1)
+        ]
+        assert dec.diametrical_path == p, t.edges
+        assert dec.subtree_membership == tuple(foot), t.edges
+        assert dec.subtree_depths == tuple(depths), t.edges
+        assert dec.ell == max(depths, default=0)
 
 
 def test_decorate_rejects_inconsistent_distances():
