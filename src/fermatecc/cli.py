@@ -30,9 +30,11 @@ EXIT_INTERNAL = 5
 
 CSV_COLUMNS = "name,n,m,class,f1,f2,e1,e2,z1,z2,comparison"
 
-# largest n a verify sweep enumerates without --force
+# largest n a verify sweep enumerates without --force; on a 2-vCPU VM
+# `verify tree 2..12` takes 0.31 s, `verify unicyclic 3..10` 0.17 s and
+# `verify unicyclic 3..11` 0.60 s
 FREE_TREE_CAP = 12
-UNICYCLIC_CAP = 9
+UNICYCLIC_CAP = 10
 
 
 class UsageError(Exception):

@@ -1,13 +1,14 @@
 """Graph families, random generators, exhaustive enumerators, formulas.
 
 Each enumerator streams one graph per isomorphism class on every vertex
-count up to max_n, in increasing n, and grows each level once: free
-trees on n vertices hang a new leaf on each vertex of every tree on
-n - 1, and unicyclic and bicyclic classes add one non-edge to each class
-with one fewer cycle.  Each candidate is built from its parent by
-`_with_edge`, without make_graph's checks.  All three keep the first
-graph of each `canonical_form`: the AHU forms of the hanging trees, read
-from the centres of a tree or along the 2-core's walks.
+count up to max_n, in increasing n.  Free trees on n vertices hang a new
+leaf on each vertex of every tree on n - 1 and keep the first graph of
+each `canonical_form`, the AHU form read from the tree's centres.
+Unicyclic and bicyclic classes are built from their 2-core (a cycle, a
+theta or a dumbbell) with a rooted tree hung on each core vertex, one
+labelling per orbit of the core's automorphism group, so each class is
+produced once and no dedup runs.  Every graph is built directly, without
+make_graph's checks.
 
 The two closed-form difference quotients for the multicyclic
 counterexample families are evaluated in exact rational arithmetic.
@@ -19,7 +20,9 @@ import random
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import combinations, permutations, product
 from typing import Iterator
 
 import numpy as np
@@ -221,24 +224,21 @@ def random_connected(n: int, seed: int, extra_edges: int | None = None) -> Graph
 
 
 # ---------------------------------------------------------------------------
-# enumeration by augmentation + canonical-form dedup
+# enumeration: trees by leaf growth and canonical-form dedup, cyclic
+# classes as rooted trees hung on a 2-core
 
 
 def canonical_form(g: Graph) -> tuple:
-    """Isomorphism-class key of a connected graph with cyclomatic number <= 2.
+    """Isomorphism-class key of a tree.
 
     Leaves are peeled layer by layer; a peeled vertex's form is the tuple
     of its child forms in decreasing tuple order (a rooted AHU form),
-    handed to its one surviving neighbour.  Any fixed order on the forms
-    would do: the key only has to be equal exactly on isomorphic graphs.
-    A tree stops at its one or two centres.  A cyclic graph
-    stops at its 2-core, which has at most two hubs (core degree > 2);
-    its key lists each hub's form with the walks along the core from it
-    to the next hub.  A plain cycle takes the least key over its anchors.
+    handed to its one surviving neighbour, until only the one or two
+    centres are left.  Any fixed order on the forms would do: the key
+    only has to be equal exactly on isomorphic trees.
     """
-    cyclomatic = g.m - g.n + 1
-    if not 0 <= cyclomatic <= 2:
-        raise PreconditionError(f"canonical_form needs cyclomatic number 0..2, got {cyclomatic}")
+    if g.m != g.n - 1:
+        raise PreconditionError(f"canonical_form needs a tree, got n={g.n}, m={g.m}")
     n, adj = g.n, g.adj
     degree = [len(a) for a in adj]
     children: list[list[tuple]] = [[] for _ in range(n)]
@@ -259,34 +259,8 @@ def canonical_form(g: Graph) -> tuple:
                     if degree[v] == 1:
                         nxt.append(v)
         layer = nxt
-    form = {}
-    for u in range(n):
-        if alive[u]:
-            children[u].sort(reverse=True)
-            form[u] = tuple(children[u])
-    if cyclomatic == 0:
-        centres = sorted(form.values(), reverse=True)
-        return centres[0] if len(centres) == 1 else tuple(centres)
-
-    core = {u: [w for w in adj[u] if alive[w]] for u in form}
-
-    def walks(x: int, stops) -> tuple:
-        out = []
-        for v in core[x]:
-            prev, cur, interior = x, v, []
-            while cur not in stops:
-                interior.append(form[cur])
-                # a core vertex that is not a stop has exactly two core neighbours
-                a, b = core[cur]
-                prev, cur = cur, b if a == prev else a
-            out.append((cur == x, tuple(interior)))
-        return form[x], tuple(sorted(out))
-
-    # degree now counts core neighbours only
-    hubs = [u for u in form if degree[u] > 2]
-    if hubs:
-        return tuple(sorted(walks(x, hubs) for x in hubs))
-    return min(walks(x, (x,)) for x in form)
+    centres = sorted((tuple(sorted(children[u], reverse=True)) for u in range(n) if alive[u]), reverse=True)
+    return centres[0] if len(centres) == 1 else tuple(centres)
 
 
 def _first_of_each_class(graphs) -> Iterator[Graph]:
@@ -298,23 +272,19 @@ def _first_of_each_class(graphs) -> Iterator[Graph]:
             yield g
 
 
-def _with_edge(g: Graph, u: int, v: int) -> Graph:
-    """g plus the non-edge (u, v), u < v; v == g.n hangs a new leaf on u.
+def _with_edge(g: Graph, u: int) -> Graph:
+    """g plus the edge (u, g.n) to a new leaf.
 
     Equal to make_graph on the grown edge list, without its validation
-    and connectivity search: adding an edge to a connected graph keeps
-    it connected.
+    and connectivity search: a leaf on a connected graph keeps it
+    connected.
     """
     edges = list(g.edges)
-    insort(edges, (u, v))
+    insort(edges, (u, g.n))
     adj = list(g.adj)
-    if v == g.n:
-        adj.append(())
-    for a, b in ((u, v), (v, u)):
-        row = list(adj[a])
-        insort(row, b)
-        adj[a] = tuple(row)
-    return Graph(n=len(adj), edges=tuple(edges), adj=tuple(adj))
+    adj[u] += (g.n,)
+    adj.append((u,))
+    return Graph(n=g.n + 1, edges=tuple(edges), adj=tuple(adj))
 
 
 def enumerate_free_trees(max_n: int) -> Iterator[Graph]:
@@ -324,33 +294,156 @@ def enumerate_free_trees(max_n: int) -> Iterator[Graph]:
         if n > 1:
             # a tree's form does not fix its size (P2 and P3 share one), so
             # each level dedups on its own
-            level = list(
-                _first_of_each_class(_with_edge(t, u, n - 1) for t in level for u in range(n - 1))
-            )
+            level = list(_first_of_each_class(_with_edge(t, u) for t in level for u in range(n - 1)))
         yield from level
 
 
-def _augmentations(g: Graph) -> Iterator[Graph]:
-    adj = g.adj
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if v not in adj[u]:
-                yield _with_edge(g, u, v)
+@lru_cache(maxsize=None)
+def _rooted_trees(size: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The rooted trees on size vertices, one per class (A000081).
+
+    Each is its edge list (parent, child), with the root 0 and the other
+    vertices numbered 1..size-1 in preorder.  Class (s, i) is entry i of
+    size s; a class is its root's multiset of child classes, listed as a
+    nonincreasing tuple of (s, i) keys.  Sizes are built on first use.
+    """
+    trees = []
+    # (size, 0) bounds no key of a smaller size
+    for children in _forests(size - 1, (size, 0)):
+        edges, nxt = [], 1
+        for s, i in children:
+            edges.append((0, nxt))
+            edges.extend((p + nxt, c + nxt) for p, c in _rooted_trees(s)[i])
+            nxt += s
+        trees.append(tuple(edges))
+    return tuple(trees)
+
+
+def _forests(total: int, largest: tuple[int, int]) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Nonincreasing tuples of rooted-tree keys, none above largest, with sizes summing to total."""
+    if total == 0:
+        yield ()
+        return
+    for s in range(min(total, largest[0]), 0, -1):
+        top = largest[1] if s == largest[0] else len(_rooted_trees(s)) - 1
+        for i in range(top, -1, -1):
+            for rest in _forests(total - s, (s, i)):
+                yield ((s, i),) + rest
+
+
+def _cores(cyclomatic: int, max_k: int) -> list[tuple[Graph, list[tuple[int, ...]]]]:
+    """Each 2-core of cyclomatic number 1 or 2 on at most max_k vertices,
+    with its automorphisms other than the identity.
+
+    An automorphism is the tuple perm with perm[v] the image of v.  The
+    cores are the cycles C_g, with the dihedral group; the thetas
+    theta(a, b, c), a <= b <= c, a >= 1, b >= 2, with the hub swap times
+    the permutations of equal-length arms; and the dumbbells C_p, path(L),
+    C_q with p <= q and L >= 0 (L = 0 is the figure-eight), with the
+    reflection of each ring about its attachment vertex times the ring
+    swap when p = q.
+    """
+    # each group below is generated identity first, so perms[1:] drops it
+    cores = []
+    if cyclomatic == 1:
+        for g in range(3, max_k + 1):
+            perms = [tuple((r + s * i) % g for i in range(g)) for s in (1, -1) for r in range(g)]
+            cores.append((cycle(g), perms[1:]))
+        return cores
+    for a in range(1, max_k):
+        for b in range(max(a, 2), max_k):
+            for c in range(b, max_k + 2 - a - b):
+                # theta() numbers the hubs 0 and 1, then each arm's interior from hub 0
+                lengths = (a, b, c)
+                arms = [range(start, start + x - 1) for start, x in zip((2, a + 1, a + b), lengths)]
+                perms = []
+                for swap in (False, True):
+                    for order in permutations(range(3)):
+                        if all(lengths[x] == lengths[y] for x, y in enumerate(order)):
+                            perm = [1, 0] if swap else [0, 1]
+                            for y in order:
+                                perm.extend(reversed(arms[y]) if swap else arms[y])
+                            perms.append(tuple(perm))
+                cores.append((theta(a, b, c), perms[1:]))
+    for p in range(3, max_k):
+        for q in range(p, max_k + 2 - p):
+            for bridge in range(max_k + 2 - p - q):
+                # dumbbell() numbers ring 1 from its attachment 0, then the
+                # bridge, ending at ring 2's attachment, then the rest of ring 2
+                spine = [0, *range(p, p + bridge)]
+                rings = (range(p), [spine[-1], *range(p + bridge, p + bridge + q - 1)])
+                perms = []
+                for swap, flip1, flip2 in product((False, True) if p == q else (False,), (1, -1), (1, -1)):
+                    perm = list(range(p + q + bridge - 1))
+                    for j, v in enumerate(spine):
+                        perm[v] = spine[bridge - j] if swap else v
+                    for ring, flip, target in zip(rings, (flip1, flip2), rings[::-1] if swap else rings):
+                        for i, v in enumerate(ring):
+                            perm[v] = target[flip * i % len(ring)]
+                    perms.append(tuple(perm))
+                cores.append((dumbbell(p, q, bridge), perms[1:]))
+    return cores
+
+
+def _hang_trees(core: Graph, autos: list[tuple[int, ...]], n: int) -> Iterator[Graph]:
+    """One graph per class with 2-core `core` on n vertices.
+
+    A labelling gives core vertex v a rooted tree (s_v, t_v); two
+    labellings give isomorphic graphs exactly when an automorphism of the
+    core carries one onto the other.  Labellings are ordered by the size
+    vector s, then by the tree-index vector t, and the least of each
+    orbit is kept.  A size vector some automorphism lowers is skipped
+    before any tree is chosen; otherwise only the automorphisms that fix
+    it can lower t.
+    """
+    k = core.n
+    for cuts in combinations(range(1, n), k - 1):
+        sizes = tuple(b - a for a, b in zip((0, *cuts), (*cuts, n)))
+        fixing = []
+        for perm in autos:
+            image = tuple(sizes[x] for x in perm)
+            if image < sizes:
+                break
+            if image == sizes:
+                fixing.append(perm)
+        else:  # no automorphism lowers the size vector
+            # the trees hung on v are numbered from base on, root v itself
+            hung, base = [], k
+            for v, s in enumerate(sizes):
+                off = base - 1
+                hung.append([[(p + off if p else v, c + off) for p, c in tree] for tree in _rooted_trees(s)])
+                base += s - 1
+            for pick in product(*(range(len(trees)) for trees in hung)):
+                if any(tuple(pick[x] for x in perm) < pick for perm in fixing):
+                    continue
+                edges = list(core.edges)
+                for trees, t in zip(hung, pick):
+                    edges += trees[t]
+                # sorted edges list each vertex's neighbours in increasing order
+                edges.sort()
+                nbrs: list[list[int]] = [[] for _ in range(n)]
+                for u, v in edges:
+                    nbrs[u].append(v)
+                    nbrs[v].append(u)
+                yield Graph(n=n, edges=tuple(edges), adj=tuple(map(tuple, nbrs)))
+
+
+def _enumerate_cyclic(cyclomatic: int, max_n: int) -> Iterator[Graph]:
+    cores = _cores(cyclomatic, max_n)
+    for n in range(max_n + 1):
+        for core, autos in cores:
+            if core.n <= n:
+                yield from _hang_trees(core, autos, n)
 
 
 def enumerate_unicyclic(max_n: int) -> Iterator[Graph]:
     """One connected graph with m = n per class on 3..max_n vertices, by increasing n."""
-    # a cyclic graph's form fixes its size, so one dedup covers every level
-    yield from _first_of_each_class(
-        g for t in enumerate_free_trees(max_n) for g in _augmentations(t)
-    )
+    yield from _enumerate_cyclic(1, max_n)
 
 
 def enumerate_bicyclic(max_n: int) -> Iterator[Graph]:
     """One connected graph with m = n + 1 per class on 4..max_n vertices, by increasing n."""
-    yield from _first_of_each_class(
-        g for base in enumerate_unicyclic(max_n) for g in _augmentations(base)
-    )
+    yield from _enumerate_cyclic(2, max_n)
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +491,13 @@ def decorate_tree(t: Graph, d: np.ndarray | None = None) -> TreeDecoration:
     # the smaller end reads the lexicographically smaller of the two
     a, b = min(a, b), max(a, b)
     # spot-check a supplied d on the two rows the decoration is read from;
-    # with the tree's own d, the two checks below can only fail through a bug
+    # the other rows are checked only when an invariant below fails
     for r in (a, b):
         if not np.array_equal(d[r], bfs_distances(t, r)):
             raise PreconditionError("d is not the distance matrix of the tree")
     dlen = int(d[a, b])
     if dlen != ecc.diameter:
-        raise InternalError(f"double BFS path has length {dlen}, diameter is {ecc.diameter}")
+        _invariant_failed(t, d, f"double BFS path has length {dlen}, diameter is {ecc.diameter}")
     pth = [a] * (dlen + 1)
     depths = [0] * (dlen + 1)
     membership = []
@@ -415,7 +508,7 @@ def decorate_tree(t: Graph, d: np.ndarray | None = None) -> TreeDecoration:
             pth[i] = v
         depths[i] = max(depths[i], h)
     if not all(c in pth for c in ecc.center):
-        raise InternalError("the diametral path misses a center vertex")
+        _invariant_failed(t, d, "the diametral path misses a center vertex")
     depths = depths[1:dlen]
     return TreeDecoration(
         diametrical_path=tuple(pth),
@@ -424,6 +517,13 @@ def decorate_tree(t: Graph, d: np.ndarray | None = None) -> TreeDecoration:
         ell=max(depths, default=0),
         subtree_membership=tuple(membership),
     )
+
+
+def _invariant_failed(t: Graph, d: np.ndarray, message: str) -> None:
+    """Raise for a failed decoration invariant: a bug only if d is t's own distance matrix."""
+    if not np.array_equal(d, all_pairs_distances(t)):
+        raise PreconditionError("d is not the distance matrix of the tree")
+    raise InternalError(message)
 
 
 # ---------------------------------------------------------------------------

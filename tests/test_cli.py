@@ -196,6 +196,12 @@ def test_verify_cap_requires_force(capsys):
     assert b"--force" in err
 
 
+def test_verify_unicyclic_cap_requires_force(capsys):
+    code, _, err = run_cli("verify", "unicyclic", "3..11")
+    assert code == 2
+    assert b"--force" in err
+
+
 def test_formula_commands(capsys):
     assert main(["formula", "bicyclic", "67"]) == 0
     assert json.loads(capsys.readouterr().out)["sign"] == "positive"

@@ -29,7 +29,7 @@ from fermatecc import (
     theta,
     two_cycles_with_tail,
 )
-from fermatecc.generators import _augmentations, _prufer_decode, _with_edge, canonical_form
+from fermatecc.generators import _cores, _prufer_decode, _with_edge, canonical_form
 
 
 def spider(*legs):
@@ -127,8 +127,8 @@ def test_random_connected_extra_edges():
 
 # Isomorphism-class counts: A000055, A001429 and A001435
 FREE_TREE_COUNTS = dict(enumerate((1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159), 1))
-UNICYCLIC_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806, 12: 5026}
-BICYCLIC_COUNTS = {4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797, 10: 2678, 11: 8833}
+UNICYCLIC_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806, 12: 5026, 13: 13999}
+BICYCLIC_COUNTS = {4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797, 10: 2678, 11: 8833, 12: 28908}
 _PINNED = {
     enumerate_free_trees: FREE_TREE_COUNTS,
     enumerate_unicyclic: UNICYCLIC_COUNTS,
@@ -183,12 +183,13 @@ def test_bicyclic_class_counts(n):
 
 
 # sha256 of the newline-joined graph6 strings each enumerator streams up to
-# max_n: the first graph of each class, so a change of canonical keys or of
-# candidate order shows here
+# max_n, so a change of representative labels or of order shows here: for
+# trees the first graph of each class, for cyclic classes the least
+# labelling of each 2-core orbit
 GRAPH6_DIGESTS = [
     (enumerate_free_trees, 12, "8ff52c9ac5354371831fbe22914b9e3842b64cb4aa67551efcbf9fc5d0a3fccc"),
-    (enumerate_unicyclic, 9, "c1f63eca85e1224a3422c9a073542efa98c6ad01ed99d2f7f5d629fa76caa7e5"),
-    (enumerate_bicyclic, 8, "af5552d77332a6fe85e4483d257c02daf9cfdfc428be7a619ee3de6e969d41ba"),
+    (enumerate_unicyclic, 9, "2eabeaaaf79b6bb870b8abc440fb6790d04025e972a5fc8dedfedf6dcc3690ad"),
+    (enumerate_bicyclic, 8, "4503784262081554ad921ccda4c1eb3798065e13dd3afe557089c85f296ed9eb"),
 ]
 
 
@@ -200,17 +201,16 @@ def test_enumerated_representatives_are_pinned(enumerate_class, max_n, digest):
 
 
 def test_with_edge_equals_make_graph():
-    # every candidate the enumerators grow: a new leaf or a non-edge on a
-    # tree, and a non-edge on a unicyclic graph
-    bases = [g for n in range(1, 10) for g in _levels(enumerate_free_trees)[n]]
-    bases += [g for n in range(3, 8) for g in _levels(enumerate_unicyclic)[n]]
-    for g in bases:
-        if g.m == g.n - 1:
+    # every graph the enumerators build without make_graph: each tree
+    # candidate, a new leaf on a smaller tree, and each cyclic class
+    for n in range(1, 10):
+        for g in _levels(enumerate_free_trees)[n]:
             for u in range(g.n):
-                assert _with_edge(g, u, g.n) == make_graph(g.n + 1, g.edges + ((u, g.n),))
-        for u, v in itertools.combinations(range(g.n), 2):
-            if not g.has_edge(u, v):
-                assert _with_edge(g, u, v) == make_graph(g.n, g.edges + ((u, v),))
+                assert _with_edge(g, u) == make_graph(g.n + 1, g.edges + ((u, g.n),))
+    for enumerate_class, max_n in ((enumerate_unicyclic, 10), (enumerate_bicyclic, 9)):
+        for n in range(max_n + 1):
+            for g in _levels(enumerate_class).get(n, ()):
+                assert g == make_graph(g.n, g.edges)
 
 
 def test_bicyclic_enumeration_small():
@@ -228,42 +228,37 @@ def test_enumeration_below_class_minimum_is_empty():
 
 
 # ---------------------------------------------------------------------------
-# canonical form (networkx is the differential oracle)
+# canonical form and the 2-core enumerators (networkx is the differential oracle)
 
 
-@lru_cache(maxsize=None)
-def _cyclic_classes():
-    return _levels(enumerate_unicyclic)[8] + _levels(enumerate_bicyclic)[7]
+def _nx(g):
+    h = nx.Graph(g.edges)
+    h.add_nodes_from(range(g.n))
+    return h
 
 
-def _isomorphic(a, b):
-    return nx.is_isomorphic(nx.Graph(a.edges), nx.Graph(b.edges))
+def _by_degree_sequence(graphs):
+    groups = defaultdict(list)
+    for g in graphs:
+        groups[tuple(sorted(map(len, g.adj)))].append(g)
+    return groups.values()
 
 
 def _assert_forms_match_isomorphism(graphs):
     # equal forms iff isomorphic, over every pair with the same degree sequence
-    groups = defaultdict(list)
-    for g in graphs:
-        groups[tuple(sorted(map(len, g.adj)))].append((canonical_form(g), g))
-    for group in groups.values():
-        for (ka, a), (kb, b) in itertools.combinations(group, 2):
-            assert (ka == kb) == _isomorphic(a, b), (a.edges, b.edges)
+    for group in _by_degree_sequence(graphs):
+        keyed = [(canonical_form(g), g) for g in group]
+        for (ka, a), (kb, b) in itertools.combinations(keyed, 2):
+            assert (ka == kb) == nx.is_isomorphic(_nx(a), _nx(b)), (a.edges, b.edges)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_canonical_form_ignores_labels(data):
-    g = data.draw(st.sampled_from(_cyclic_classes()))
+    g = data.draw(st.sampled_from(_levels(enumerate_free_trees)[10]))
     perm = data.draw(st.permutations(range(g.n)))
     h = make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
     assert canonical_form(h) == canonical_form(g)
-
-
-@pytest.mark.parametrize("enumerate_class, n", [(enumerate_unicyclic, 8), (enumerate_bicyclic, 7)])
-def test_enumerated_classes_have_distinct_forms(enumerate_class, n):
-    graphs = _levels(enumerate_class)[n]
-    assert len({canonical_form(g) for g in graphs}) == len(graphs)
-    _assert_forms_match_isomorphism(graphs)
 
 
 def _leaf_extensions(t):
@@ -274,30 +269,51 @@ def _leaf_extensions(t):
 @pytest.mark.parametrize(
     "enumerate_base, n, grow",
     [
-        pytest.param(enumerate_free_trees, 7, _augmentations, id="enumerate_free_trees-7"),
-        pytest.param(enumerate_unicyclic, 6, _augmentations, id="enumerate_unicyclic-6"),
         # 10 vertices is the least where a peeled vertex (not a centre) has two
         # children of equal height and different shape, so child order matters
         pytest.param(enumerate_free_trees, 9, _leaf_extensions, id="leaf_extensions-9"),
     ],
 )
 def test_forms_of_augmentations_match_isomorphism(enumerate_base, n, grow):
-    # the raw augmentations hold many isomorphic copies, so equal forms occur
+    # the raw extensions hold many isomorphic copies, so equal forms occur
     _assert_forms_match_isomorphism([g for b in _levels(enumerate_base)[n] for g in grow(b)])
-
-
-def test_canonical_form_of_named_cores():
-    # a cycle, a theta and the two dumbbell shapes, each with hanging paths
-    assert canonical_form(fe.cycle(7)) != canonical_form(random_unicyclic(7, girth=6, seed=0))
-    assert canonical_form(theta(2, 3, 4)) == canonical_form(theta(4, 2, 3))
-    assert canonical_form(dumbbell(3, 4, 0)) == canonical_form(dumbbell(4, 3, 0))
-    assert canonical_form(dumbbell(3, 5, 2, 1, 0)) == canonical_form(dumbbell(5, 3, 2, 0, 1))
-    assert canonical_form(dumbbell(3, 5, 2, 1, 0)) != canonical_form(dumbbell(3, 5, 2, 0, 1))
 
 
 def test_canonical_form_rejects_three_cycles():
     with pytest.raises(fe.PreconditionError):
         canonical_form(make_graph(4, itertools.combinations(range(4), 2)))
+
+
+@pytest.mark.parametrize("g", [fe.cycle(5), theta(1, 2, 3), dumbbell(3, 3, 0)], ids=["cycle", "theta", "dumbbell"])
+def test_canonical_form_rejects_cyclic_graphs(g):
+    with pytest.raises(fe.PreconditionError):
+        canonical_form(g)
+
+
+@pytest.mark.parametrize(
+    "enumerate_class, n",
+    [(enumerate_unicyclic, n) for n in range(3, 10)] + [(enumerate_bicyclic, n) for n in range(4, 9)],
+    ids=[f"unicyclic-{n}" for n in range(3, 10)] + [f"bicyclic-{n}" for n in range(4, 9)],
+)
+def test_enumerated_classes_are_pairwise_non_isomorphic(enumerate_class, n):
+    for group in _by_degree_sequence(_levels(enumerate_class)[n]):
+        for a, b in itertools.combinations(group, 2):
+            assert not nx.is_isomorphic(_nx(a), _nx(b)), (a.edges, b.edges)
+
+
+@pytest.mark.parametrize("cyclomatic", [1, 2])
+def test_core_automorphisms_match_networkx(cyclomatic):
+    # every core on at most 10 vertices: the explicit group is exactly the
+    # automorphism group networkx finds
+    for core, autos in _cores(cyclomatic, 10):
+        assert classify(core).cyclomatic == cyclomatic
+        assert min(map(len, core.adj)) >= 2  # a 2-core: nothing hangs off it
+        found = {
+            tuple(m[v] for v in range(core.n))
+            for m in nx.algorithms.isomorphism.GraphMatcher(_nx(core), _nx(core)).isomorphisms_iter()
+        }
+        assert found == set(autos) | {tuple(range(core.n))}, core.edges
+        assert len(autos) == len(set(autos)) == len(found) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +391,16 @@ def test_decorate_rejects_inconsistent_distances():
     # a matrix that is not the tree's own: its diameter disagrees with the BFS path
     with pytest.raises(fe.PreconditionError):
         decorate_tree(t, fe.all_pairs_distances(t) * 2)
+
+
+def test_decorate_blames_a_bad_row_off_the_path_on_the_input():
+    # rows 0 and 4 (the path's ends) pass the spot check; row 2 makes the
+    # diameter disagree with the double BFS path
+    t = fe.path(5)
+    d = fe.all_pairs_distances(t)
+    d[2, 0] = 9
+    with pytest.raises(fe.PreconditionError):
+        decorate_tree(t, d)
 
 
 def test_decorate_rejects_cycles():

@@ -186,6 +186,24 @@ def test_search_exhaustive_small_has_no_positives():
     assert summary.negative_instances
 
 
+def test_smallest_bicyclic_witness():
+    # theta(1, 2, 3) with a 7-edge pendant path at the triangle's apex: the
+    # one positive bicyclic class on 12 vertices
+    g = from_graph6("KtO_gO@?G?_@")
+    rep = fe.full_report(g)
+    assert (rep.n, rep.m, rep.f1, rep.f2) == (12, 13, 1067, 1156)
+    assert rep.n * rep.f2 - rep.m * rep.f1 == 1
+    assert rep.comparison is fe.Comparison.POSITIVE
+    assert fe.eps3_oracle(g).eps3 == rep.eps3
+
+
+def test_no_bicyclic_class_below_12_vertices_is_positive():
+    summary = search_counterexample("exhaustive-small", budget=12_636, max_n=11)
+    assert summary.instance_count == 12_636
+    assert summary.complete
+    assert not summary.positive_instances
+
+
 def test_search_budget_marks_incomplete():
     summary = search_counterexample("family-sweep", budget=3)
     assert summary.instance_count == 3
