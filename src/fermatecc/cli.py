@@ -30,9 +30,10 @@ EXIT_INTERNAL = 5
 
 CSV_COLUMNS = "name,n,m,class,f1,f2,e1,e2,z1,z2,comparison"
 
-# largest n a verify sweep enumerates without --force; on a 2-vCPU VM
-# `verify tree 2..12` takes 0.31 s, `verify unicyclic 3..10` 0.17 s and
-# `verify unicyclic 3..11` 0.60 s
+# largest n a verify sweep enumerates without --force; in-process, best
+# of 3 on a 2-vCPU VM, `verify tree 2..12` takes 0.15 s, `verify tree
+# 2..13` 0.45 s, `verify unicyclic 3..10` 0.11 s and `verify unicyclic
+# 3..11` 0.34 s
 FREE_TREE_CAP = 12
 UNICYCLIC_CAP = 10
 
@@ -285,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    def common(p, formats=("json", "text")):
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
         p.add_argument(
             "--threads",
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="index report for one graph file")
     p.add_argument("--input", required=True, help="edge-list file (or .g6 for graph6)")
-    common(p)
+    common(p, formats=("json", "csv", "text"))  # csv is one report row
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("verify", help="exhaustive theorem sweep over a graph class")

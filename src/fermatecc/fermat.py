@@ -4,7 +4,8 @@ Three interchangeable computation paths:
 
 * eps3_oracle  -- exhaustive brute force over all pairs, the reference.
                   One numpy broadcast covers a block of source vertices,
-                  as many as fit in _TABLE entries.
+                  or of whole graphs of a stack, as many as fit in
+                  _TABLE entries.
 * eps3_pruned  -- same values, skips pairs using exact lower/upper bounds.
                   Single-threaded: vertices are visited in BFS order, each
                   bounded by the edge-Lipschitz lemma |eps3(u) - eps3(p)|
@@ -17,7 +18,10 @@ Three interchangeable computation paths:
 eps3_profile picks by size and class: trees take eps3_tree, other graphs
 with at most _ORACLE_MAX_N vertices take eps3_oracle, whose n^4 sums are
 cheaper there than the pruned path's per-vertex Python work, and larger
-graphs take eps3_pruned.
+graphs take eps3_pruned.  eps3_stack makes the same choice for a stack
+of graphs with equal n and m.  The tree and oracle kernels work on
+(K, n, n) distance stacks; eps3_tree and eps3_oracle run them on a
+stack of one.
 
 The eccentricity of u maximises the Fermat distance of {u, v, w} over all
 ordered pairs (v, w) in V x V, repeats included (the literal definition).
@@ -76,6 +80,9 @@ def fermat_vertices(d: np.ndarray, u: int, v: int, w: int) -> tuple[int, ...]:
 # Entries in one oracle broadcast table (int32, 1 MB).  Each source
 # vertex takes n^3 entries, and a block holds as many sources as fit, at
 # least one: all n sources up to n = 22, and one source from n = 64 on.
+# On a stack, a block holds as many whole graphs (n^4 entries each) as
+# fit.  The sweeps cut each level into chunks of at most _TABLE // n^2
+# graphs, so a chunk's int32 distance stack is no larger than a table.
 # On random non-tree graphs (2-vCPU Xeon VM, 4 MB L2) budgets of 2^16
 # to 2^22 entries ran within noise of each other for n <= 20, and 2^18
 # was the fastest or level with it at every n from 9 to 100; 2^22 was
@@ -88,6 +95,43 @@ _TABLE = 1 << 18
 # eps3_pruned, 0.11 against 0.26-0.35 ms at n = 16 and 0.17-0.23 against
 # 0.26-0.30 ms at n = 20; from n = 24 on eps3_pruned was as fast or faster.
 _ORACLE_MAX_N = 20
+
+
+def _oracle_eps3(d: np.ndarray, witnesses: bool = False):
+    """Exhaustive eps3 of each graph in a (K, n, n) distance stack.
+
+    Each numpy call sums one block of d[s, u] + d[s, v] + d[s, w] over
+    every s and takes the minimum: whole graphs, all n sources each,
+    as many as fit in _TABLE entries (n^4 per graph), or, where one
+    graph does not fit, a block of sources of one graph (n^3 each, at
+    least one source).  Returns eps3 as a (K, n) array and, with
+    witnesses, the row-major index v * n + w of the first maximising
+    pair of each vertex, else None.
+    """
+    k_all, n = d.shape[:2]
+    d32 = d.astype(np.int32, copy=False)
+    eps = np.empty((k_all, n), dtype=np.int64)
+    arg = np.empty((k_all, n), dtype=np.intp) if witnesses else None
+    per_table = _TABLE // n**4
+    if per_table:
+        blocks = [(slice(k, k + per_table), np.arange(n)) for k in range(0, k_all, per_table)]
+    else:
+        step = max(1, _TABLE // n**3)
+        blocks = [
+            (slice(k, k + 1), np.arange(start, min(start + step, n)))
+            for k in range(k_all)
+            for start in range(0, n, step)
+        ]
+    for ks, us in blocks:
+        dk = d32[ks]
+        # f[k, i, v, w] = min_s (d[s,us[i]] + d[s,v] + d[s,w]) of graph k
+        f = (dk[:, :, us, None, None] + dk[:, :, None, :, None] + dk[:, :, None, None, :]).min(axis=1)
+        f = f.reshape(f.shape[0], us.size, n * n)
+        eps[ks, us] = f.max(axis=2)
+        if witnesses:
+            # argmax takes the first maximum: row-major, so the lexicographic min
+            arg[ks, us] = f.argmax(axis=2)
+    return eps, arg
 
 
 def eps3_oracle(
@@ -106,30 +150,19 @@ def eps3_oracle(
         d = all_pairs_distances(g)
     elif not is_connected(g):  # all_pairs_distances checks it otherwise
         raise ConnectivityError("eps3_oracle requires a connected graph")
-    n = g.n
-    eps = []
-    wits: list[FermatWitness] = []
-    d32 = d.astype(np.int32)
-    step = max(1, _TABLE // n**3)
-    for start in range(0, n, step):
-        us = np.arange(start, min(start + step, n))
-        # f[i, v, w] = min_s (d[s,us[i]] + d[s,v] + d[s,w]); the sum before
-        # the min has us.size * n^3 entries
-        f = (d32[:, us][:, :, None, None] + d32[:, None, :, None] + d32[:, None, None, :]).min(axis=0)
-        f = f.reshape(us.size, n * n)
-        best = f.max(axis=1)
-        eps.extend(best.tolist())
-        if witnesses:
-            # argmax takes the first maximum: row-major, so the lexicographic min
-            v, w = np.divmod(f.argmax(axis=1), n)
-            sigma = (d[:, us] + d[:, v] + d[:, w]).argmin(axis=0)
-            wits.extend(
-                FermatWitness(pair=(int(a), int(b)), fermat_vertex=int(s), value=int(x))
-                for a, b, s, x in zip(v, w, sigma, best)
-            )
+    eps, arg = _oracle_eps3(d[None], witnesses)
+    eps = eps[0]
+    if not witnesses:
+        return FermatProfile(eps3=tuple(eps.tolist()))
+    v, w = np.divmod(arg[0], g.n)
+    # d is symmetric, so row u stands for column u
+    sigma = (d + d[v] + d[w]).argmin(axis=1)
     return FermatProfile(
-        eps3=tuple(eps),
-        witnesses=tuple(wits) if witnesses else None,
+        eps3=tuple(eps.tolist()),
+        witnesses=tuple(
+            FermatWitness(pair=(int(a), int(b)), fermat_vertex=int(s), value=int(x))
+            for a, b, s, x in zip(v, w, sigma, eps)
+        ),
     )
 
 
@@ -227,20 +260,43 @@ def eps3_pruned(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
     return FermatProfile(eps3=tuple(eps), pair_evaluations=evals)
 
 
-def eps3_tree(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
-    """Tree fast path: fix one eccentric endpoint, scan the second.
+def _tree_eps3(d: np.ndarray) -> np.ndarray:
+    """eps3 of each tree in a (K, n, n) distance stack, as a (K, n) array.
 
     On a tree the Fermat distance equals half the pairwise-distance
     perimeter, and a farthest vertex from u can always serve as one of
     the two maximisers, so eps3(u) is a single O(n) scan per vertex.
     """
+    far = d.argmax(axis=2)  # the first farthest vertex from each u
+    # perims[k, u, w] = d(far, w) + d(u, w) + d(u, far), summed in place
+    perims = d[np.arange(len(d))[:, None], far]
+    perims += d
+    perims += np.take_along_axis(d, far[:, :, None], axis=2)
+    return perims.max(axis=2) // 2  # tree perimeters are even
+
+
+def eps3_tree(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
+    """Tree fast path: fix one eccentric endpoint, scan the second (see _tree_eps3)."""
     if g.m != g.n - 1:  # a connected graph is a tree iff m = n - 1
         raise PreconditionError("eps3_tree requires a tree")
     if d is None:
         d = all_pairs_distances(g)
-    vstar = d.argmax(axis=1)
-    perims = d[np.arange(g.n), vstar][:, None] + d + d[vstar]
-    return FermatProfile(eps3=tuple((perims.max(axis=1) // 2).tolist()))  # tree perimeters are even
+    return FermatProfile(eps3=tuple(_tree_eps3(d[None])[0].tolist()))
+
+
+def eps3_stack(graphs, d: np.ndarray) -> np.ndarray:
+    """eps3 of K connected graphs with equal n and m, as a (K, n) array.
+
+    d is their (K, n, n) distance stack.  The path is eps3_profile's:
+    the tree kernel on trees, the oracle's min-sums up to _ORACLE_MAX_N
+    vertices and eps3_pruned, graph by graph, above.
+    """
+    n, m = graphs[0].n, graphs[0].m
+    if m == n - 1:
+        return _tree_eps3(d)
+    if n <= _ORACLE_MAX_N:
+        return _oracle_eps3(d)[0]
+    return np.array([eps3_pruned(g, dg).eps3 for g, dg in zip(graphs, d)], dtype=np.int64)
 
 
 def eps3_profile(g: Graph, d: np.ndarray | None = None) -> FermatProfile:

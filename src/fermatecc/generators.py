@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations, product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .graph import (
     all_pairs_distances,
     bfs_distances,
     classify,
-    eccentricity2_profile,
+    eccentricities,
     make_graph,
 )
 
@@ -471,52 +471,108 @@ class TreeDecoration:
     subtree_membership: tuple[int, ...]
 
 
-def decorate_tree(t: Graph, d: np.ndarray | None = None) -> TreeDecoration:
-    """Decorate t along the double-BFS path, reading every field off d.
+class DecorationStack(NamedTuple):
+    """TreeDecoration fields of K trees on n vertices, one array row per tree.
+
+    Tree k's diametrical path is path[k, :length[k] + 1]; the entries
+    after it are 0.  foot[k] is its subtree_membership, depths[k, i] the
+    depth of the subtree hanging off v_i and ell[k] the largest of
+    depths[k, 1:length[k]].  center[k] marks the central vertices.
+    """
+
+    path: np.ndarray
+    length: np.ndarray
+    center: np.ndarray
+    foot: np.ndarray
+    depths: np.ndarray
+    ell: np.ndarray
+
+    def decoration(self, k: int) -> TreeDecoration:
+        dlen = int(self.length[k])
+        return TreeDecoration(
+            diametrical_path=tuple(self.path[k, : dlen + 1].tolist()),
+            center=tuple(np.flatnonzero(self.center[k]).tolist()),
+            subtree_depths=tuple(self.depths[k, 1:dlen].tolist()),
+            ell=int(self.ell[k]),
+            subtree_membership=tuple(self.foot[k].tolist()),
+        )
+
+
+def _path_ends(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ends a < b of the double-BFS path of each tree of a (K, n, n) stack."""
+    # argmax picks the smallest id among ties
+    a = d[:, 0].argmax(axis=1)
+    b = d[np.arange(len(d)), a].argmax(axis=1)
+    # a path and its reverse differ in their first vertex, so starting at
+    # the smaller end reads the lexicographically smaller of the two
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def check_path_rows(t: Graph, d: np.ndarray) -> None:
+    """Spot-check a supplied d on the two rows a decoration is read from.
+
+    The other rows are checked only when a decoration invariant fails.
+    """
+    for r in _path_ends(d[None]):
+        if not np.array_equal(d[r[0]], bfs_distances(t, int(r[0]))):
+            raise PreconditionError("d is not the distance matrix of the tree")
+
+
+def decorate_stack(trees, d: np.ndarray) -> DecorationStack:
+    """Decorate each tree of a (K, n, n) distance stack along its double-BFS path.
 
     With a the first farthest vertex from 0, b the first farthest from a
     and D = d(a, b), vertex v meets the a-b path (d(a, v) + D - d(b, v)) / 2
     from a and hangs (d(a, v) + d(b, v) - D) / 2 below it; the path is
-    the set of vertices that hang at depth 0.
+    the set of vertices that hang at depth 0, so every field is read off
+    rows a and b.  Both invariants, D equal to the diameter and every
+    centre on the path, are checked; a failure is a bug when d holds the
+    trees' own distances.
     """
+    count, n = d.shape[:2]
+    rows = np.arange(count)
+    a, b = _path_ends(d)
+    da, db = d[rows, a], d[rows, b]
+    length = da[rows, b]
+    foot = (da + length[:, None] - db) // 2
+    hang = (da + db - length[:, None]) // 2
+    path = np.zeros((count, n), dtype=np.intp)
+    k, v = np.nonzero(hang == 0)
+    path[k, foot[k, v]] = v
+    depths = np.zeros_like(hang)
+    np.maximum.at(depths, (np.repeat(rows, n), foot.ravel()), hang.ravel())
+    i = np.arange(n)
+    inner = (1 <= i) & (i < length[:, None])
+    ecc = eccentricities(d)
+    diameter = ecc.max(axis=1)
+    center = ecc == ecc.min(axis=1)[:, None]
+    bad = np.flatnonzero((length != diameter) | (center & (hang != 0)).any(axis=1))
+    if bad.size:
+        k = bad[0]
+        if length[k] != diameter[k]:
+            message = f"double BFS path has length {length[k]}, diameter is {diameter[k]}"
+        else:
+            message = "the diametral path misses a center vertex"
+        _invariant_failed(trees[k], d[k], message)
+    return DecorationStack(
+        path=path,
+        length=length,
+        center=center,
+        foot=foot,
+        depths=depths,
+        ell=np.where(inner, depths, 0).max(axis=1, initial=0),
+    )
+
+
+def decorate_tree(t: Graph, d: np.ndarray | None = None) -> TreeDecoration:
+    """Decorate t along the double-BFS path, reading every field off d
+    (decorate_stack on a stack of one)."""
     if classify(t).kind is not GraphKind.TREE:
         raise PreconditionError("decorate_tree requires a tree")
     if d is None:
         d = all_pairs_distances(t)
-    ecc = eccentricity2_profile(t, d)
-    # double BFS; argmax picks the smallest id among ties
-    a = int(d[0].argmax())
-    b = int(d[a].argmax())
-    # a path and its reverse differ in their first vertex, so starting at
-    # the smaller end reads the lexicographically smaller of the two
-    a, b = min(a, b), max(a, b)
-    # spot-check a supplied d on the two rows the decoration is read from;
-    # the other rows are checked only when an invariant below fails
-    for r in (a, b):
-        if not np.array_equal(d[r], bfs_distances(t, r)):
-            raise PreconditionError("d is not the distance matrix of the tree")
-    dlen = int(d[a, b])
-    if dlen != ecc.diameter:
-        _invariant_failed(t, d, f"double BFS path has length {dlen}, diameter is {ecc.diameter}")
-    pth = [a] * (dlen + 1)
-    depths = [0] * (dlen + 1)
-    membership = []
-    for v, (x, y) in enumerate(zip(d[a].tolist(), d[b].tolist())):
-        i, h = (x + dlen - y) // 2, (x + y - dlen) // 2
-        membership.append(i)
-        if h == 0:
-            pth[i] = v
-        depths[i] = max(depths[i], h)
-    if not all(c in pth for c in ecc.center):
-        _invariant_failed(t, d, "the diametral path misses a center vertex")
-    depths = depths[1:dlen]
-    return TreeDecoration(
-        diametrical_path=tuple(pth),
-        center=ecc.center,
-        subtree_depths=tuple(depths),
-        ell=max(depths, default=0),
-        subtree_membership=tuple(membership),
-    )
+    check_path_rows(t, d)
+    return decorate_stack([t], d[None]).decoration(0)
 
 
 def _invariant_failed(t: Graph, d: np.ndarray, message: str) -> None:

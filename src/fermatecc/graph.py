@@ -209,6 +209,24 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     return np.array([_bfs_row(g.adj, u) for u in range(g.n)], dtype=np.int64)
 
 
+def edge_stack(graphs) -> np.ndarray:
+    """(K, m, 2) array of the sorted edge lists of K graphs with equal m."""
+    return np.array([g.edges for g in graphs], dtype=np.intp).reshape(len(graphs), -1, 2)
+
+
+def edge_ends(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """(K, m, 2) values of a (K, n) vertex array at the two ends of every edge."""
+    k, m = edges.shape[:2]
+    return np.take_along_axis(x, edges.reshape(k, 2 * m), axis=1).reshape(k, m, 2)
+
+
+def degree_stack(edges: np.ndarray, n: int) -> np.ndarray:
+    """(K, n) vertex degrees of a (K, m, 2) edge stack on n vertices."""
+    k = edges.shape[0]
+    offset = (n * np.arange(k)).reshape(k, 1, 1)
+    return np.bincount((edges + offset).ravel(), minlength=k * n).reshape(k, n)
+
+
 def classify(g: Graph) -> GraphClass:
     """Cyclomatic classification of a connected graph."""
     cyc = g.m - g.n + 1
@@ -231,11 +249,17 @@ class Ecc2Profile:
     center: tuple[int, ...]
 
 
+def eccentricities(d: np.ndarray) -> np.ndarray:
+    """Ordinary eccentricities: the row maxima of a distance matrix, or of
+    each matrix of a (K, n, n) stack."""
+    return d.max(axis=-1)
+
+
 def eccentricity2_profile(g: Graph, d: np.ndarray | None = None) -> Ecc2Profile:
     """Ordinary eccentricities plus radius, diameter and center set."""
     if d is None:
         d = all_pairs_distances(g)
-    ecc = d.max(axis=1)
+    ecc = eccentricities(d)
     radius = int(ecc.min())
     diameter = int(ecc.max())
     center = tuple(int(u) for u in np.flatnonzero(ecc == radius))

@@ -1,25 +1,36 @@
 """The six indices and the exact cross-multiplied average comparison.
 
 F1/F2 use Fermat eccentricities, E1/E2 ordinary eccentricities, Z1/Z2
-vertex degrees.  The comparison of F2/m against F1/n is decided by the
-sign of the integer n*F2 - m*F1; no floating point is ever involved.
+vertex degrees.  index_stack computes all six for a stack of graphs with
+equal n and m in one set of array reductions: eps3 by the fermat stack
+kernels, eccentricities as row maxima of the distance stack, degrees and
+edge sums by indexing a (K, m, 2) edge array.  full_report and the
+zagreb_* functions run the same code on a stack of one.  The comparison
+of F2/m against F1/n is decided by the sign of the integer n*F2 - m*F1,
+taken in Python ints; no floating point is ever involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PreconditionError
-from .fermat import FermatProfile, eps3_profile
+from .errors import ConnectivityError, PreconditionError
+from .fermat import FermatProfile, eps3_stack
 from .graph import (
     Graph,
     GraphKind,
     all_pairs_distances,
     classify,
+    degree_stack,
+    eccentricities,
     eccentricity2_profile,
+    edge_ends,
+    edge_stack,
+    is_connected,
 )
 
 
@@ -44,28 +55,31 @@ class IndexReport:
     comparison: Comparison
 
 
+def _zagreb(x: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per graph of a stack: the sum of x(u)^2 over vertices and of x(u) * x(v) over edges."""
+    x = x.astype(np.int64, copy=False)
+    ends = edge_ends(x, edges)
+    return (x * x).sum(axis=1), (ends[..., 0] * ends[..., 1]).sum(axis=1)
+
+
+def _zagreb_one(g: Graph, x) -> tuple[int, int]:
+    s1, s2 = _zagreb(np.array([x], dtype=np.int64).reshape(1, g.n), edge_stack([g]))
+    return int(s1[0]), int(s2[0])
+
+
 def zagreb_fermat(g: Graph, p: FermatProfile) -> tuple[int, int]:
     """F1 = sum of eps3(u)^2 over vertices, F2 = sum of eps3(u)*eps3(v) over edges."""
-    eps = p.eps3
-    f1 = sum(e * e for e in eps)
-    f2 = sum(eps[u] * eps[v] for u, v in g.edges)
-    return f1, f2
+    return _zagreb_one(g, p.eps3)
 
 
 def zagreb_eccentricity(g: Graph, d: np.ndarray | None = None) -> tuple[int, int]:
     """E1/E2: the same sums with ordinary eccentricity."""
-    ecc = eccentricity2_profile(g, d).ecc
-    e1 = sum(e * e for e in ecc)
-    e2 = sum(ecc[u] * ecc[v] for u, v in g.edges)
-    return e1, e2
+    return _zagreb_one(g, eccentricity2_profile(g, d).ecc)
 
 
 def zagreb_classic(g: Graph) -> tuple[int, int]:
     """Z1/Z2: the same sums with vertex degree."""
-    deg = [g.degree(u) for u in range(g.n)]
-    z1 = sum(x * x for x in deg)
-    z2 = sum(deg[u] * deg[v] for u, v in g.edges)
-    return z1, z2
+    return _zagreb_one(g, degree_stack(edge_stack([g]), g.n)[0])
 
 
 def compare_averages(n: int, m: int, f1: int, f2: int) -> Comparison:
@@ -80,27 +94,77 @@ def compare_averages(n: int, m: int, f1: int, f2: int) -> Comparison:
     return Comparison.ZERO
 
 
-def full_report(g: Graph, d: np.ndarray | None = None) -> IndexReport:
-    """All six indices plus the comparison, via the fastest valid eps3 path."""
+class IndexStack(NamedTuple):
+    """The indices of K graphs with equal n and m: one row or entry per graph."""
+
+    n: int
+    m: int
+    kind: GraphKind
+    edges: np.ndarray  # (K, m, 2)
+    eps3: np.ndarray  # (K, n)
+    degree: np.ndarray  # (K, n)
+    f1: np.ndarray  # (K,), as are the five sums below
+    f2: np.ndarray
+    e1: np.ndarray
+    e2: np.ndarray
+    z1: np.ndarray
+    z2: np.ndarray
+    comparisons: tuple[Comparison, ...]
+
+    def report(self, k: int) -> IndexReport:
+        """The IndexReport of graph k, in Python ints."""
+        return IndexReport(
+            n=self.n,
+            m=self.m,
+            kind=self.kind,
+            eps3=tuple(self.eps3[k].tolist()),
+            f1=int(self.f1[k]),
+            f2=int(self.f2[k]),
+            e1=int(self.e1[k]),
+            e2=int(self.e2[k]),
+            z1=int(self.z1[k]),
+            z2=int(self.z2[k]),
+            comparison=self.comparisons[k],
+        )
+
+
+def index_stack(graphs, d: np.ndarray) -> IndexStack:
+    """All six indices and the comparison of K connected graphs with equal
+    n and m, from their (K, n, n) distance stack d."""
+    g = graphs[0]
     if g.m == 0:
         raise PreconditionError("the comparison needs at least one edge")
-    if d is None:
-        d = all_pairs_distances(g)
-    profile = eps3_profile(g, d)
-    f1, f2 = zagreb_fermat(g, profile)
-    e1, e2 = zagreb_eccentricity(g, d)
-    z1, z2 = zagreb_classic(g)
-    comparison = compare_averages(g.n, g.m, f1, f2)
-    return IndexReport(
+    edges = edge_stack(graphs)
+    eps = eps3_stack(graphs, d)
+    degree = degree_stack(edges, g.n)
+    f1, f2 = _zagreb(eps, edges)
+    e1, e2 = _zagreb(eccentricities(d), edges)
+    z1, z2 = _zagreb(degree, edges)
+    return IndexStack(
         n=g.n,
         m=g.m,
         kind=classify(g).kind,
-        eps3=profile.eps3,
+        edges=edges,
+        eps3=eps,
+        degree=degree,
         f1=f1,
         f2=f2,
         e1=e1,
         e2=e2,
         z1=z1,
         z2=z2,
-        comparison=comparison,
+        comparisons=tuple(
+            compare_averages(g.n, g.m, a, b) for a, b in zip(f1.tolist(), f2.tolist())
+        ),
     )
+
+
+def full_report(g: Graph, d: np.ndarray | None = None) -> IndexReport:
+    """All six indices plus the comparison, via the fastest valid eps3 path."""
+    if g.m == 0:  # before APSP, which refuses an edgeless graph as disconnected
+        raise PreconditionError("the comparison needs at least one edge")
+    if d is None:
+        d = all_pairs_distances(g)
+    elif not is_connected(g):  # all_pairs_distances checks it otherwise
+        raise ConnectivityError("full_report requires a connected graph")
+    return index_stack([g], d[None]).report(0)

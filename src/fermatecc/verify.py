@@ -1,26 +1,40 @@
 """Mechanical checks of the structural lemmas and comparison theorems.
 
+Each lemma is stated once, as a mask over a stack of K graphs with equal
+n and m: edge-Lipschitz, the main inequality with its path
+characterisation, the eccentric analogue and the diametral-path lemmas.
+A lemma function returns every graph's failure flag and a formatter of
+one graph's problems.  Sweeps take the enumerator's stream one level at
+a time, in chunks of at most fermat._TABLE // n^2 graphs: one distance
+matrix per graph, stacked, then the indices and every lemma as array
+reductions over the chunk, so a level is never held whole.  The
+per-graph check_* functions run the same lemma functions on a stack of
+one, so their details are the sweep's, byte for byte.
+
 A failing CheckOutcome names its instance as a graph6 string (or, for
 the cyclic-sequence lemma, the sequence), so any failure can be
-re-checked standalone; a passing one has instance "".  Sweeps run the
-applicable checks over every enumerated isomorphism class, computing
-distances and eps3 once per graph and encoding only reported graphs;
-the counterexample search hunts multicyclic graphs on both sides of the
-comparison inequality.
+re-checked standalone; a passing one has instance "".  Only reported
+graphs are encoded.  The counterexample search hunts multicyclic graphs
+on both sides of the comparison inequality; its exhaustive strategy
+analyses the bicyclic stream in the same chunks.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, islice
 
 import numpy as np
 
+from . import fermat
 from .errors import PreconditionError
 from .fermat import eps3_profile, eps3_tree
-from .generators import (
-    decorate_tree,
+from .generators import (  # decorate_tree: perfbench's tracer looks the name up here
+    DecorationStack,
+    check_path_rows,
+    decorate_stack,
+    decorate_tree,  # noqa: F401
     dumbbell,
     enumerate_bicyclic,
     enumerate_free_trees,
@@ -34,11 +48,14 @@ from .graph import (
     GraphKind,
     all_pairs_distances,
     classify,
+    degree_stack,
+    edge_ends,
+    edge_stack,
     is_connected,
     make_graph,
     to_graph6,
 )
-from .indices import Comparison, IndexReport, full_report
+from .indices import Comparison, IndexReport, IndexStack, full_report, index_stack
 
 
 @dataclass(frozen=True)
@@ -74,15 +91,133 @@ def _outcome(name: str, subject, problems: list[str]) -> CheckOutcome:
     return CheckOutcome(name, instance, False, "; ".join(problems))
 
 
+# ---------------------------------------------------------------------------
+# the lemmas, each over a stack of K graphs
+
+
+def _edge_lipschitz(eps: np.ndarray, edges: np.ndarray):
+    """|eps3(u) - eps3(v)| <= 1 across every edge."""
+    ends = edge_ends(eps, edges)
+    bad = np.abs(ends[..., 0] - ends[..., 1]) > 1
+
+    def problems(k: int) -> list[str]:
+        return [
+            f"edge ({u},{v}): eps3 {x} vs {y}"
+            for (u, v), (x, y) in zip(edges[k][bad[k]].tolist(), ends[k][bad[k]].tolist())
+        ]
+
+    return bad.any(axis=1), problems
+
+
+def _is_path(degree: np.ndarray) -> np.ndarray:
+    """Structural path test per row of a (K, n) degree array: exactly two
+    leaves and maximum degree <= 2, or a single vertex."""
+    if degree.shape[1] == 1:
+        return np.ones(len(degree), dtype=bool)
+    return (degree.max(axis=1) <= 2) & ((degree == 1).sum(axis=1) == 2)
+
+
+def _main_inequality(kind: GraphKind, comparisons, f1, f2, is_path: np.ndarray):
+    """n*F2 <= m*F1; on trees, equality exactly when the tree is a path."""
+    positive = np.array([c is Comparison.POSITIVE for c in comparisons])
+    zero = np.array([c is Comparison.ZERO for c in comparisons])
+    mismatch = (zero != is_path) & (kind is GraphKind.TREE)
+
+    def problems(k: int) -> list[str]:
+        out = []
+        if positive[k]:
+            out.append(f"n*F2 - m*F1 > 0 (F1={f1[k]}, F2={f2[k]})")
+        if mismatch[k]:
+            out.append(
+                f"equality characterization: comparison={comparisons[k].value}, "
+                f"is_path={bool(is_path[k])}"
+            )
+        return out
+
+    return positive | mismatch, problems
+
+
+def _eccentric_analogue(n: int, m: int, e1: list[int], e2: list[int]):
+    """n*E2 <= m*E1, the ordinary-eccentricity analogue, in Python ints."""
+    lhs, rhs = [n * x for x in e2], [m * x for x in e1]
+    bad = np.array([a > b for a, b in zip(lhs, rhs)], dtype=bool)
+
+    def problems(k: int) -> list[str]:
+        return [f"n*E2={lhs[k]} > m*E1={rhs[k]}"] if bad[k] else []
+
+    return bad, problems
+
+
+def _diametral_lemmas(d: np.ndarray, eps: np.ndarray, dec: DecorationStack):
+    """The lemmas along each tree's decorated diametrical path v_0..v_D.
+
+    Subtree depth l_i <= min(i, D - i); symmetry eps3(v_i) = eps3(v_{D-i});
+    monotonicity, eps3 falling by 0 or 1 along each path edge towards the
+    middle; every centre at the path's minimum; a constant middle segment
+    v_ell..v_{D-ell} and steps of exactly 1 outside it; and subtree
+    additivity, eps3(u) = d(u, v_i) + eps3(v_i) for u hanging off an
+    interior v_i.
+    """
+    n = eps.shape[1]
+    i, j = np.arange(n), np.arange(n - 1)  # path positions, path edges (v_j, v_j+1)
+    dlen, ell = dec.length[:, None], dec.ell[:, None]
+    on_path = i <= dlen
+    ep = np.take_along_axis(eps, dec.path, axis=1)  # eps3(v_i)
+    mirror = np.take_along_axis(ep, np.maximum(dlen - i, 0), axis=1)  # eps3(v_{D-i})
+    step = ep[:, 1:] - ep[:, :-1]  # eps3(v_{j+1}) - eps3(v_j)
+    fall = np.where(j < dlen // 2, -step, step)  # the fall towards the middle
+    path_min = ep.min(axis=1, where=on_path, initial=np.iinfo(ep.dtype).max)
+    root = np.take_along_axis(dec.path, dec.foot, axis=1)  # each vertex's foot
+    d_root = np.take_along_axis(d, root[:, :, None], axis=2)[:, :, 0]
+    e_root = np.take_along_axis(eps, root, axis=1)
+    masks = (
+        (1 <= i) & (i < dlen) & (dec.depths > np.minimum(i, dlen - i)),
+        on_path & (ep != mirror),
+        (j < dlen) & (fall != 0) & (fall != 1),
+        dec.center & (eps != path_min[:, None]),
+        (ell <= j) & (j < dlen - ell) & (step != 0),
+        ((j < ell) | ((dlen - ell <= j) & (j < dlen))) & (np.abs(step) != 1),
+        (i != root) & (1 <= dec.foot) & (dec.foot < dlen) & (eps != d_root + e_root),
+    )
+
+    def problems(k: int) -> list[str]:
+        e, p, D = eps[k].tolist(), dec.path[k].tolist(), int(dec.length[k])
+        depth, sym, mono, center, middle, outer, additive = (
+            np.flatnonzero(mask[k]).tolist() for mask in masks
+        )
+        # a diametral pair's subtree depths are at most D/2, so the two
+        # outer segments never overlap and ascending order is path order
+        return (
+            [f"l_{i}={dec.depths[k, i]} exceeds min({i},{D - i})" for i in depth]
+            + [f"symmetry: eps3(v_{i})={e[p[i]]} != eps3(v_{D - i})={e[p[D - i]]}" for i in sym]
+            + [f"monotonicity fails at v_{i}: {e[p[i]]} vs {e[p[i + 1]]}" for i in mono]
+            + [f"center {c} misses the minimum eps3 on the path" for c in center]
+            + [f"middle-segment edge (v_{i},v_{i + 1}) not constant" for i in middle]
+            + [f"outer-segment edge (v_{i},v_{i + 1}) differs by != 1" for i in outer]
+            + [
+                f"subtree additivity fails at {u}: {e[u]} != {d_root[k, u]}+{e[root[k, u]]}"
+                for u in additive
+            ]
+        )
+
+    return np.logical_or.reduce([mask.any(axis=1) for mask in masks]), problems
+
+
+def _single(name: str, g: Graph, lemma) -> CheckOutcome:
+    """The outcome of a lemma run on a stack of one."""
+    return _outcome(name, g, lemma[1](0))
+
+
+# ---------------------------------------------------------------------------
+# the per-graph checks: each lemma on a stack of one
+
+
 def check_edge_lipschitz(g: Graph, eps3=None) -> CheckOutcome:
     """|eps3(u) - eps3(v)| <= 1 across every edge."""
     if eps3 is None:
         eps3 = eps3_profile(g).eps3
-    problems = []
-    for u, v in g.edges:
-        if abs(eps3[u] - eps3[v]) > 1:
-            problems.append(f"edge ({u},{v}): eps3 {eps3[u]} vs {eps3[v]}")
-    return _outcome("edge_lipschitz", g, problems)
+    eps = np.array(eps3, dtype=np.int64).reshape(1, g.n)
+    return _single("edge_lipschitz", g, _edge_lipschitz(eps, edge_stack([g])))
 
 
 def check_diametrical_lemmas(t: Graph, d: np.ndarray | None = None, eps3=None) -> CheckOutcome:
@@ -94,54 +229,10 @@ def check_diametrical_lemmas(t: Graph, d: np.ndarray | None = None, eps3=None) -
         d = all_pairs_distances(t)
     if eps3 is None:
         eps3 = eps3_tree(t, d).eps3
-    dec = decorate_tree(t, d)
-    p = dec.diametrical_path
-    dlen = len(p) - 1
-    problems = []
-
-    for i, depth in enumerate(dec.subtree_depths, start=1):
-        if depth > min(i, dlen - i):
-            problems.append(f"l_{i}={depth} exceeds min({i},{dlen - i})")
-
-    for i in range(dlen + 1):
-        if eps3[p[i]] != eps3[p[dlen - i]]:
-            problems.append(
-                f"symmetry: eps3(v_{i})={eps3[p[i]]} != eps3(v_{dlen - i})={eps3[p[dlen - i]]}"
-            )
-
-    half = dlen // 2
-    for i in range(half):
-        a, b = eps3[p[i]], eps3[p[i + 1]]
-        if not (b <= a <= b + 1):
-            problems.append(f"monotonicity fails at v_{i}: {a} vs {b}")
-    for i in range(half, dlen):
-        a, b = eps3[p[i]], eps3[p[i + 1]]
-        if not (a <= b <= a + 1):
-            problems.append(f"monotonicity fails at v_{i}: {a} vs {b}")
-    path_min = min(eps3[v] for v in p)
-    for c in dec.center:
-        if eps3[c] != path_min:
-            problems.append(f"center {c} misses the minimum eps3 on the path")
-
-    ell = dec.ell
-    for i in range(ell, dlen - ell):
-        if eps3[p[i]] != eps3[p[i + 1]]:
-            problems.append(f"middle-segment edge (v_{i},v_{i + 1}) not constant")
-    for i in list(range(0, ell)) + list(range(dlen - ell, dlen)):
-        if abs(eps3[p[i]] - eps3[p[i + 1]]) != 1:
-            problems.append(f"outer-segment edge (v_{i},v_{i + 1}) differs by != 1")
-
-    for u in range(t.n):
-        i = dec.subtree_membership[u]
-        root = p[i]
-        if u == root or not (1 <= i <= dlen - 1):
-            continue
-        if eps3[u] != d[u, root] + eps3[root]:
-            problems.append(
-                f"subtree additivity fails at {u}: {eps3[u]} != {d[u, root]}+{eps3[root]}"
-            )
-
-    return _outcome("diametrical_lemmas", t, problems)
+    check_path_rows(t, d)
+    eps = np.array(eps3, dtype=np.int64).reshape(1, t.n)
+    lemma = _diametral_lemmas(d[None], eps, decorate_stack([t], d[None]))
+    return _single("diametrical_lemmas", t, lemma)
 
 
 def check_cyclic_sequence(xs) -> CheckOutcome:
@@ -164,10 +255,7 @@ def check_cyclic_sequence(xs) -> CheckOutcome:
 
 def is_path_graph(g: Graph) -> bool:
     """Structural path test: exactly two leaves, maximum degree <= 2."""
-    if g.n == 1:
-        return True
-    degs = [g.degree(u) for u in range(g.n)]
-    return max(degs) <= 2 and sum(1 for x in degs if x == 1) == 2
+    return bool(_is_path(degree_stack(edge_stack([g]), g.n))[0])
 
 
 def verify_main_inequality(g: Graph, report=None) -> CheckOutcome:
@@ -176,31 +264,117 @@ def verify_main_inequality(g: Graph, report=None) -> CheckOutcome:
     have their sign recorded."""
     if report is None:
         report = full_report(g)
-    problems = []
     if report.kind is GraphKind.MULTICYCLIC:
         return CheckOutcome(
             "main_inequality", "", True, f"multicyclic, sign recorded: {report.comparison.value}"
         )
-    if report.comparison is Comparison.POSITIVE:
-        problems.append(f"n*F2 - m*F1 > 0 (F1={report.f1}, F2={report.f2})")
-    if report.kind is GraphKind.TREE:
-        is_zero = report.comparison is Comparison.ZERO
-        if is_zero != is_path_graph(g):
-            problems.append(
-                f"equality characterization: comparison={report.comparison.value}, "
-                f"is_path={is_path_graph(g)}"
-            )
-    return _outcome("main_inequality", g, problems)
+    is_path = _is_path(degree_stack(edge_stack([g]), g.n))
+    lemma = _main_inequality(report.kind, [report.comparison], [report.f1], [report.f2], is_path)
+    return _single("main_inequality", g, lemma)
 
 
 def check_eccentric_analogue(g: Graph, report=None) -> CheckOutcome:
     """n*E2 <= m*E1, the ordinary-eccentricity analogue, on the same classes."""
     if report is None:
         report = full_report(g)
-    problems = []
-    if report.n * report.e2 > report.m * report.e1:
-        problems.append(f"n*E2={report.n * report.e2} > m*E1={report.m * report.e1}")
-    return _outcome("eccentric_analogue", g, problems)
+    lemma = _eccentric_analogue(report.n, report.m, [report.e1], [report.e2])
+    return _single("eccentric_analogue", g, lemma)
+
+
+# ---------------------------------------------------------------------------
+# sweeps: a level at a time, in stacked chunks
+
+
+def _chunks(level, n: int):
+    """Consecutive chunks of a same-n stream whose (K, n, n) distance
+    stacks hold at most fermat._TABLE entries (at least one graph)."""
+    size = max(1, fermat._TABLE // (n * n))
+    return iter(lambda: list(islice(level, size)), [])
+
+
+def _analyse(graphs: list[Graph]) -> tuple[np.ndarray, IndexStack]:
+    """The distance stack and the indices of one chunk: APSP once per graph.
+
+    Distances are below n, so the stack is int32, like the oracle's table.
+    """
+    d = np.empty((len(graphs), graphs[0].n, graphs[0].n), dtype=np.int32)
+    for k, g in enumerate(graphs):
+        d[k] = all_pairs_distances(g)
+    return d, index_stack(graphs, d)
+
+
+def _failures(graphs: list[Graph], d: np.ndarray, ix: IndexStack) -> list[CheckOutcome]:
+    """Every failed check of a chunk, graph by graph in the checks' order."""
+    lemmas = [
+        ("edge_lipschitz", _edge_lipschitz(ix.eps3, ix.edges)),
+        (
+            "main_inequality",
+            _main_inequality(ix.kind, ix.comparisons, ix.f1, ix.f2, _is_path(ix.degree)),
+        ),
+        ("eccentric_analogue", _eccentric_analogue(ix.n, ix.m, ix.e1.tolist(), ix.e2.tolist())),
+    ]
+    if ix.kind is GraphKind.TREE:
+        dec = decorate_stack(graphs, d)
+        lemmas.append(("diametrical_lemmas", _diametral_lemmas(d, ix.eps3, dec)))
+    failed = np.logical_or.reduce([bad for _, (bad, _) in lemmas])
+    return [
+        CheckOutcome(name, to_graph6(graphs[k]), False, "; ".join(problems(k)))
+        for k in np.flatnonzero(failed).tolist()
+        for name, (bad, problems) in lemmas
+        if bad[k]
+    ]
+
+
+def _tree_extremes(n: int, picks: dict, shapes: dict) -> list[CheckOutcome]:
+    """Extremal theorem: the star minimises and the path maximises F1 and F2.
+
+    picks maps (index, side) to each chunk's first extreme value and its
+    tree, in stream order; shapes maps "star" and "path" to the first such
+    tree's indices.
+    """
+    failures = []
+    for name in ("f1", "f2"):
+        for side, pick, shape in (("min", min, "star"), ("max", max, "path")):
+            # min and max return the first extreme: the level's first
+            val, h = pick(picks[name, side], key=lambda pair: pair[0])
+            want = shapes[shape][name]
+            if want != val:
+                failures.append(
+                    CheckOutcome(
+                        "tree_extremes",
+                        to_graph6(h),
+                        False,
+                        f"n={n}: {side} {name}={val} not attained by the {shape} ({want})",
+                    )
+                )
+    return failures
+
+
+def _sweep_level(summary: SweepSummary, n: int, level) -> None:
+    """Analyse one level of the stream chunk by chunk, recording into summary."""
+    picks: dict = {}  # (index, side) -> [(first extreme value, its tree) per chunk]
+    shapes: dict = {}  # "star" / "path" -> indices of the first such tree
+    for graphs in _chunks(level, n):
+        d, ix = _analyse(graphs)
+        summary.instance_count += len(graphs)
+        summary.failures.extend(_failures(graphs, d, ix))
+        summary.equality_instances.extend(
+            to_graph6(g) for g, c in zip(graphs, ix.comparisons) if c is Comparison.ZERO
+        )
+        if ix.kind is not GraphKind.TREE:
+            continue
+        for name in ("f1", "f2"):
+            vals = getattr(ix, name).tolist()
+            for side, pick in (("min", min), ("max", max)):
+                k = vals.index(pick(vals))
+                picks.setdefault((name, side), []).append((vals[k], graphs[k]))
+        found = (("star", ix.degree.max(axis=1) == n - 1), ("path", _is_path(ix.degree)))
+        for shape, mask in found:
+            hits = np.flatnonzero(mask)
+            if shape not in shapes and hits.size:
+                shapes[shape] = {"f1": int(ix.f1[hits[0]]), "f2": int(ix.f2[hits[0]])}
+    if picks and n >= 3:
+        summary.failures.extend(_tree_extremes(n, picks, shapes))
 
 
 def sweep_class(kind: GraphKind, n_values) -> SweepSummary:
@@ -216,44 +390,9 @@ def sweep_class(kind: GraphKind, n_values) -> SweepSummary:
     else:
         raise ValueError("sweep_class handles tree and unicyclic classes only")
     wanted = set(n_values)
-
-    for n, graphs in groupby(enumerate_class(max(wanted, default=0)), key=lambda g: g.n):
-        if n not in wanted:
-            continue
-        level = []  # (report, graph) of each tree, for the extremal theorem
-        for g in graphs:
-            summary.instance_count += 1
-            d = all_pairs_distances(g)
-            report = full_report(g, d)
-            outcomes = [
-                check_edge_lipschitz(g, report.eps3),
-                verify_main_inequality(g, report),
-                check_eccentric_analogue(g, report),
-            ]
-            if kind is GraphKind.TREE:
-                outcomes.append(check_diametrical_lemmas(g, d, report.eps3))
-                level.append((report, g))
-            summary.failures.extend(o for o in outcomes if not o.passed)
-            if report.comparison is Comparison.ZERO:
-                summary.equality_instances.append(to_graph6(g))
-        if kind is GraphKind.TREE and n >= 3:
-            # extremal theorem: star minimises and path maximises F1 and F2
-            star = next(r for r, g in level if max(map(len, g.adj)) == n - 1)
-            path = next(r for r, g in level if is_path_graph(g))
-            ends = (("min", min, "star", star), ("max", max, "path", path))
-            for name in ("f1", "f2"):
-                for side, pick, shape, shape_report in ends:
-                    best, h = pick(level, key=lambda rg: getattr(rg[0], name))
-                    val, want = getattr(best, name), getattr(shape_report, name)
-                    if want != val:
-                        summary.failures.append(
-                            CheckOutcome(
-                                "tree_extremes",
-                                to_graph6(h),
-                                False,
-                                f"n={n}: {side} {name}={val} not attained by the {shape} ({want})",
-                            )
-                        )
+    for n, level in groupby(enumerate_class(max(wanted, default=0)), key=lambda g: g.n):
+        if n in wanted:
+            _sweep_level(summary, n, level)
     return summary
 
 
@@ -313,15 +452,23 @@ def search_counterexample(
 
     if strategy == "exhaustive-small":
         budget = budget if budget is not None else 10_000
-        for g in enumerate_bicyclic(max_n):
-            if summary.instance_count >= budget:
-                # exhaustive over all classes in range: complete even if one
-                # side has no instance at these sizes, unless the budget cut
-                # it short
-                summary.complete = False
-                break
-            summary.instance_count += 1
-            _record(summary, g, full_report(g))
+        # one graph past the budget tells a cut stream from a finished one
+        stream = islice(enumerate_bicyclic(max_n), budget + 1)
+        for n, level in groupby(stream, key=lambda g: g.n):
+            for graphs in _chunks(level, n):
+                if summary.instance_count + len(graphs) > budget:
+                    # exhaustive over all classes in range: complete even if
+                    # one side has no instance at these sizes, unless the
+                    # budget cut it short
+                    summary.complete = False
+                    graphs = graphs[: budget - summary.instance_count]
+                    if not graphs:
+                        break
+                _, ix = _analyse(graphs)
+                summary.instance_count += len(graphs)
+                for k, comparison in enumerate(ix.comparisons):
+                    if comparison is not Comparison.ZERO:
+                        _record(summary, graphs[k], ix.report(k))
     elif strategy == "family-sweep":
         budget = budget if budget is not None else 200
         for g in _family_grid():

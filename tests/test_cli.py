@@ -60,6 +60,23 @@ def test_compute_csv_quotes_the_name(tmp_path, capsys):
     assert row[0] == 'a,b "c"'
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "tree", "2..4"),
+        ("search", "exhaustive-small", "--max-n", "5"),
+        ("formula", "bicyclic", "3"),
+    ],
+)
+def test_csv_is_a_usage_error_outside_compute(args, capsys):
+    # csv is compute's one-row report; a summary or a formula has no csv form
+    assert main([*args, "--format", "csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--format" in err
+    assert main([*args, "--format", "text"]) in (0, 4)
+
+
 def test_compute_text(p4_file, capsys):
     assert main(["compute", "--input", p4_file, "--format", "text"]) == 0
     out = capsys.readouterr().out
@@ -297,18 +314,12 @@ def test_stray_value_error_is_internal(p4_file, monkeypatch, capsys):
 
 
 def test_sweep_invariant_failure_is_internal(monkeypatch, capsys):
-    # the sweep hands decorate_tree each tree's own distances, so a failed
+    # the sweep hands decorate_stack each tree's own distances, so a failed
     # diametral-path invariant is a bug (exit 5), not an input error (exit 3)
-    import dataclasses
-
     import fermatecc.generators as gen
 
-    real = gen.eccentricity2_profile
-
-    def off_by_one(g, d=None):
-        ecc = real(g, d)
-        return dataclasses.replace(ecc, diameter=ecc.diameter + 1)
-
-    monkeypatch.setattr(gen, "eccentricity2_profile", off_by_one)
+    real = gen.eccentricities
+    # every eccentricity one too large: the diameter exceeds the path length
+    monkeypatch.setattr(gen, "eccentricities", lambda d: real(d) + 1)
     assert main(["verify", "tree", "2..5"]) == 5
     assert "double BFS path" in capsys.readouterr().err

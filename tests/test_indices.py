@@ -72,3 +72,11 @@ def test_full_report_supplied_d_identical():
 def test_full_report_rejects_edgeless():
     with pytest.raises(PreconditionError):
         full_report(fe.make_graph(1, []))
+
+
+def test_full_report_rejects_disconnected_graph_with_supplied_d():
+    # a triangle plus an isolated vertex has m = n - 1, like a tree; the
+    # supplied matrix (a path's) must not stand in for its distances
+    g = fe.make_graph(4, [(0, 1), (1, 2), (0, 2)], strict=False)
+    with pytest.raises(fe.ConnectivityError):
+        full_report(g, fe.all_pairs_distances(fe.path(4)))

@@ -1,7 +1,5 @@
 """Lemma/theorem checks, class sweeps, and the counterexample search."""
 
-import dataclasses
-
 import pytest
 
 import fermatecc as fe
@@ -134,15 +132,15 @@ def test_sweep_grows_each_level_once(monkeypatch):
 def test_sweep_tree_extremes_names_the_extremal_tree(monkeypatch):
     import fermatecc.verify
 
-    real = fermatecc.verify.full_report
+    real = fermatecc.verify.index_stack
 
-    def inflated_star(g, d=None):
-        rep = real(g, d)
-        if g.n == 5 and max(g.degree(u) for u in range(g.n)) == 4:
-            rep = dataclasses.replace(rep, f1=rep.f1 + 1000)
-        return rep
+    def inflated_star(graphs, d):
+        # the sweep reads F1 off each chunk's index arrays
+        ix = real(graphs, d)
+        stars = ix.degree.max(axis=1) == ix.n - 1
+        return ix._replace(f1=ix.f1 + 1000 * (stars & (ix.n == 5)))
 
-    monkeypatch.setattr(fermatecc.verify, "full_report", inflated_star)
+    monkeypatch.setattr(fermatecc.verify, "index_stack", inflated_star)
     summary = sweep_class(GraphKind.TREE, range(5, 6))
     low, high = [f for f in summary.failures if f.check_name == "tree_extremes"]
     # each failure names the tree holding the extreme: the chair (max degree
@@ -201,6 +199,20 @@ def test_no_bicyclic_class_below_12_vertices_is_positive():
     summary = search_counterexample("exhaustive-small", budget=12_636, max_n=11)
     assert summary.instance_count == 12_636
     assert summary.complete
+    assert not summary.positive_instances
+
+
+@pytest.mark.parametrize(
+    "budget, count, complete, negatives",
+    [(0, 0, False, 0), (1, 1, False, 0), (327, 327, False, 294), (328, 328, True, 295)],
+)
+def test_exhaustive_search_budget_boundary(budget, count, complete, negatives):
+    # 328 bicyclic classes with n <= 8: a budget of exactly 328 completes
+    # the search, one less cuts it short
+    summary = search_counterexample("exhaustive-small", budget=budget, max_n=8)
+    assert summary.instance_count == count
+    assert summary.complete is complete
+    assert len(summary.negative_instances) == negatives
     assert not summary.positive_instances
 
 
