@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConnectivityError, PreconditionError
-from .graph import Graph, all_pairs_distances, is_connected
+from .graph import Graph, all_pairs_distances, bfs_tree, is_connected
 
 
 @dataclass(frozen=True)
@@ -174,21 +174,6 @@ def eps3_oracle(
 _BLOCK = 64
 
 
-def _bfs_tree(g: Graph) -> tuple[list[int], list[int]]:
-    """Vertices in BFS order from vertex 0, and the BFS parent of each (-1 at the root)."""
-    parent = [-1] * g.n
-    seen = [False] * g.n
-    seen[0] = True
-    order = [0]
-    for u in order:
-        for v in g.adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                order.append(v)
-    return order, parent
-
-
 def eps3_pruned(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
     """Bound-pruned computation; value-identical to eps3_oracle.
 
@@ -211,7 +196,7 @@ def eps3_pruned(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
     if d is None:
         d = all_pairs_distances(g)
     n = g.n
-    order, parent = _bfs_tree(g)
+    order, parent = bfs_tree(g)
     if len(order) < n:
         raise ConnectivityError("eps3_pruned requires a connected graph")
     # distances are below n, so int32 sums cannot overflow; they run ~20%

@@ -7,8 +7,9 @@ each `canonical_form`, the AHU form read from the tree's centres.
 Unicyclic and bicyclic classes are built from their 2-core (a cycle, a
 theta or a dumbbell) with a rooted tree hung on each core vertex, one
 labelling per orbit of the core's automorphism group, so each class is
-produced once and no dedup runs.  Every graph is built directly, without
-make_graph's checks.
+produced once and no dedup runs.  The group is found by a backtracking
+search on the core, and a core is built when a level first reaches it.
+Every graph is built directly, without make_graph's checks.
 
 The two closed-form difference quotients for the multicyclic
 counterexample families are evaluated in exact rational arithmetic.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -33,6 +34,7 @@ from .graph import (
     GraphKind,
     all_pairs_distances,
     bfs_distances,
+    bfs_tree,
     classify,
     eccentricities,
     make_graph,
@@ -331,57 +333,61 @@ def _forests(total: int, largest: tuple[int, int]) -> Iterator[tuple[tuple[int, 
                 yield ((s, i),) + rest
 
 
+def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism of the connected graph g but the identity.
+
+    An automorphism is the tuple perm with perm[v] the image of v.  A
+    backtracking search maps the vertices in BFS order from 0: vertex 0
+    to any vertex of its degree, each later vertex v to a free neighbour
+    of its BFS parent's image with v's degree, whose mapped neighbours
+    are exactly the images of v's mapped neighbours.  Each partial map
+    so keeps the edges and non-edges among the mapped vertices, and each
+    automorphism is reached once.
+    """
+    order, parent = bfs_tree(g)
+    n, adj = g.n, g.adj
+    perm, taken, found = [-1] * n, [False] * n, []
+
+    def extend(i: int) -> None:
+        if i == n:
+            found.append(tuple(perm))
+            return
+        v = order[i]
+        want = {perm[w] for w in adj[v] if perm[w] >= 0}
+        for x in adj[perm[parent[v]]] if i else range(n):
+            if not taken[x] and len(adj[x]) == len(adj[v]) and {y for y in adj[x] if taken[y]} == want:
+                perm[v], taken[x] = x, True
+                extend(i + 1)
+                taken[x] = False
+        perm[v] = -1
+
+    extend(0)
+    return [p for p in found if p != tuple(range(n))]
+
+
+@lru_cache(maxsize=None)
+def _core(build, *params) -> tuple[Graph, list[tuple[int, ...]]]:
+    g = build(*params)
+    return g, _automorphisms(g)
+
+
 def _cores(cyclomatic: int, max_k: int) -> list[tuple[Graph, list[tuple[int, ...]]]]:
     """Each 2-core of cyclomatic number 1 or 2 on at most max_k vertices,
-    with its automorphisms other than the identity.
+    with its _automorphisms, both found on the core's first use.
 
-    An automorphism is the tuple perm with perm[v] the image of v.  The
-    cores are the cycles C_g, with the dihedral group; the thetas
-    theta(a, b, c), a <= b <= c, a >= 1, b >= 2, with the hub swap times
-    the permutations of equal-length arms; and the dumbbells C_p, path(L),
-    C_q with p <= q and L >= 0 (L = 0 is the figure-eight), with the
-    reflection of each ring about its attachment vertex times the ring
-    swap when p = q.
+    The cores are the cycles C_g, the thetas theta(a, b, c) with a <= b <= c,
+    a >= 1, b >= 2, and the dumbbells C_p, path(L), C_q with p <= q and
+    L >= 0 (L = 0 is the figure-eight), each family in lexicographic order.
     """
-    # each group below is generated identity first, so perms[1:] drops it
-    cores = []
     if cyclomatic == 1:
-        for g in range(3, max_k + 1):
-            perms = [tuple((r + s * i) % g for i in range(g)) for s in (1, -1) for r in range(g)]
-            cores.append((cycle(g), perms[1:]))
-        return cores
+        return [_core(cycle, g) for g in range(3, max_k + 1)]
+    cores = []
     for a in range(1, max_k):
         for b in range(max(a, 2), max_k):
-            for c in range(b, max_k + 2 - a - b):
-                # theta() numbers the hubs 0 and 1, then each arm's interior from hub 0
-                lengths = (a, b, c)
-                arms = [range(start, start + x - 1) for start, x in zip((2, a + 1, a + b), lengths)]
-                perms = []
-                for swap in (False, True):
-                    for order in permutations(range(3)):
-                        if all(lengths[x] == lengths[y] for x, y in enumerate(order)):
-                            perm = [1, 0] if swap else [0, 1]
-                            for y in order:
-                                perm.extend(reversed(arms[y]) if swap else arms[y])
-                            perms.append(tuple(perm))
-                cores.append((theta(a, b, c), perms[1:]))
+            cores += [_core(theta, a, b, c) for c in range(b, max_k + 2 - a - b)]
     for p in range(3, max_k):
         for q in range(p, max_k + 2 - p):
-            for bridge in range(max_k + 2 - p - q):
-                # dumbbell() numbers ring 1 from its attachment 0, then the
-                # bridge, ending at ring 2's attachment, then the rest of ring 2
-                spine = [0, *range(p, p + bridge)]
-                rings = (range(p), [spine[-1], *range(p + bridge, p + bridge + q - 1)])
-                perms = []
-                for swap, flip1, flip2 in product((False, True) if p == q else (False,), (1, -1), (1, -1)):
-                    perm = list(range(p + q + bridge - 1))
-                    for j, v in enumerate(spine):
-                        perm[v] = spine[bridge - j] if swap else v
-                    for ring, flip, target in zip(rings, (flip1, flip2), rings[::-1] if swap else rings):
-                        for i, v in enumerate(ring):
-                            perm[v] = target[flip * i % len(ring)]
-                    perms.append(tuple(perm))
-                cores.append((dumbbell(p, q, bridge), perms[1:]))
+            cores += [_core(dumbbell, p, q, bridge) for bridge in range(max_k + 2 - p - q)]
     return cores
 
 
@@ -429,11 +435,9 @@ def _hang_trees(core: Graph, autos: list[tuple[int, ...]], n: int) -> Iterator[G
 
 
 def _enumerate_cyclic(cyclomatic: int, max_n: int) -> Iterator[Graph]:
-    cores = _cores(cyclomatic, max_n)
     for n in range(max_n + 1):
-        for core, autos in cores:
-            if core.n <= n:
-                yield from _hang_trees(core, autos, n)
+        for core, autos in _cores(cyclomatic, n):
+            yield from _hang_trees(core, autos, n)
 
 
 def enumerate_unicyclic(max_n: int) -> Iterator[Graph]:

@@ -197,6 +197,21 @@ def _bfs_row(adj, source: int) -> list[int]:
     return dist
 
 
+def bfs_tree(g: Graph) -> tuple[list[int], list[int]]:
+    """Vertices in BFS order from vertex 0, and the BFS parent of each (-1 at the root)."""
+    parent = [-1] * g.n
+    seen = [False] * g.n
+    seen[0] = True
+    order = [0]
+    for u in order:
+        for v in g.adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                parent[v] = u
+                order.append(v)
+    return order, parent
+
+
 def bfs_distances(g: Graph, source: int) -> np.ndarray:
     """Hop distances from source to every vertex (graph must be connected)."""
     if not (0 <= source < g.n):

@@ -452,23 +452,17 @@ def search_counterexample(
 
     if strategy == "exhaustive-small":
         budget = budget if budget is not None else 10_000
-        # one graph past the budget tells a cut stream from a finished one
-        stream = islice(enumerate_bicyclic(max_n), budget + 1)
-        for n, level in groupby(stream, key=lambda g: g.n):
+        stream = enumerate_bicyclic(max_n)
+        for n, level in groupby(islice(stream, budget), key=lambda g: g.n):
             for graphs in _chunks(level, n):
-                if summary.instance_count + len(graphs) > budget:
-                    # exhaustive over all classes in range: complete even if
-                    # one side has no instance at these sizes, unless the
-                    # budget cut it short
-                    summary.complete = False
-                    graphs = graphs[: budget - summary.instance_count]
-                    if not graphs:
-                        break
                 _, ix = _analyse(graphs)
                 summary.instance_count += len(graphs)
                 for k, comparison in enumerate(ix.comparisons):
                     if comparison is not Comparison.ZERO:
                         _record(summary, graphs[k], ix.report(k))
+        # exhaustive over all classes in range: complete even if one side
+        # has no instance at these sizes, unless the budget cut it short
+        summary.complete = next(stream, None) is None
     elif strategy == "family-sweep":
         budget = budget if budget is not None else 200
         for g in _family_grid():

@@ -29,7 +29,7 @@ from fermatecc import (
     theta,
     two_cycles_with_tail,
 )
-from fermatecc.generators import _cores, _prufer_decode, _with_edge, canonical_form
+from fermatecc.generators import _automorphisms, _cores, _prufer_decode, _with_edge, canonical_form
 
 
 def spider(*legs):
@@ -303,7 +303,7 @@ def test_enumerated_classes_are_pairwise_non_isomorphic(enumerate_class, n):
 
 @pytest.mark.parametrize("cyclomatic", [1, 2])
 def test_core_automorphisms_match_networkx(cyclomatic):
-    # every core on at most 10 vertices: the explicit group is exactly the
+    # every core on at most 10 vertices: the searched group is exactly the
     # automorphism group networkx finds
     for core, autos in _cores(cyclomatic, 10):
         assert classify(core).cyclomatic == cyclomatic
@@ -314,6 +314,30 @@ def test_core_automorphisms_match_networkx(cyclomatic):
         }
         assert found == set(autos) | {tuple(range(core.n))}, core.edges
         assert len(autos) == len(set(autos)) == len(found) - 1
+
+
+def _check_automorphisms(g):
+    autos = _automorphisms(g)
+    found = {
+        tuple(m[v] for v in range(g.n))
+        for m in nx.algorithms.isomorphism.GraphMatcher(_nx(g), _nx(g)).isomorphisms_iter()
+    }
+    assert set(autos) | {tuple(range(g.n))} == found, g.edges
+    assert len(autos) == len(set(autos)) == len(found) - 1
+
+
+# n <= 8 and few extra edges keep the groups small: a star or a complete
+# graph on n vertices has (n - 1)! or n! automorphisms
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.integers(0, 8))
+def test_automorphisms_match_networkx_on_connected_graphs(n, seed, extra_edges):
+    _check_automorphisms(random_connected(n, seed, extra_edges))
+
+
+def test_automorphisms_match_networkx_on_trees():
+    # every tree on at most 7 vertices, the stars among them
+    for t in enumerate_free_trees(7):
+        _check_automorphisms(t)
 
 
 # ---------------------------------------------------------------------------

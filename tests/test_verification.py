@@ -11,6 +11,7 @@ from fermatecc import (
     check_eccentric_analogue,
     check_edge_lipschitz,
     from_graph6,
+    generators,
     is_path_graph,
     search_counterexample,
     sweep_class,
@@ -214,6 +215,29 @@ def test_exhaustive_search_budget_boundary(budget, count, complete, negatives):
     assert summary.complete is complete
     assert len(summary.negative_instances) == negatives
     assert not summary.positive_instances
+
+
+def test_exhaustive_search_builds_only_the_cores_it_reaches(monkeypatch):
+    # a budget of 5 stops at n = 5, so no core on more than 5 vertices is
+    # built, however large max_n is
+    built = []
+
+    def counted(build):
+        def wrapper(*params):
+            built.append(build(*params))
+            return built[-1]
+
+        return wrapper
+
+    for name in ("theta", "dumbbell"):
+        monkeypatch.setattr(generators, name, counted(getattr(generators, name)))
+    generators._core.cache_clear()
+    try:
+        summary = search_counterexample("exhaustive-small", budget=5, max_n=60)
+    finally:
+        generators._core.cache_clear()
+    assert summary.instance_count == 5 and not summary.complete
+    assert built and max(g.n for g in built) <= 5
 
 
 def test_search_budget_marks_incomplete():
