@@ -31,9 +31,9 @@ EXIT_INTERNAL = 5
 CSV_COLUMNS = "name,n,m,class,f1,f2,e1,e2,z1,z2,comparison"
 
 # largest n a verify sweep enumerates without --force; in-process, best
-# of 3 on a 2-vCPU VM, `verify tree 2..12` takes 0.15 s, `verify tree
-# 2..13` 0.45 s, `verify unicyclic 3..10` 0.11 s and `verify unicyclic
-# 3..11` 0.34 s
+# of 5 on a 2-vCPU VM, `verify tree 2..12` takes 0.09 s, `verify tree
+# 2..13` 0.22 s, `verify unicyclic 3..10` 0.11 s and `verify unicyclic
+# 3..11` 0.32 s
 FREE_TREE_CAP = 12
 UNICYCLIC_CAP = 10
 

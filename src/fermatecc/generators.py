@@ -1,15 +1,16 @@
 """Graph families, random generators, exhaustive enumerators, formulas.
 
 Each enumerator streams one graph per isomorphism class on every vertex
-count up to max_n, in increasing n.  Free trees on n vertices hang a new
-leaf on each vertex of every tree on n - 1 and keep the first graph of
-each `canonical_form`, the AHU form read from the tree's centres.
-Unicyclic and bicyclic classes are built from their 2-core (a cycle, a
-theta or a dumbbell) with a rooted tree hung on each core vertex, one
-labelling per orbit of the core's automorphism group, so each class is
-produced once and no dedup runs.  The group is found by a backtracking
-search on the core, and a core is built when a level first reaches it.
-Every graph is built directly, without make_graph's checks.
+count up to max_n, in increasing n, built from one cache of rooted
+trees.  A free tree is planted at its centroid: a forest of small rooted
+trees under one root, or two rooted trees of half its size joined at
+their roots.  Unicyclic and bicyclic classes are built from their 2-core
+(a cycle, a theta or a dumbbell) with a rooted tree hung on each core
+vertex, one labelling per orbit of the core's automorphism group.  The
+group is found by a backtracking search on the core, and a core is built
+when a level first reaches it.  So each class is produced once and no
+isomorphism key or dedup is needed.  Every graph is built directly,
+without make_graph's checks.
 
 The two closed-form difference quotients for the multicyclic
 counterexample families are evaluated in exact rational arithmetic.
@@ -18,12 +19,11 @@ counterexample families are evaluated in exact rational arithmetic.
 from __future__ import annotations
 
 import random
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -226,99 +226,73 @@ def random_connected(n: int, seed: int, extra_edges: int | None = None) -> Graph
 
 
 # ---------------------------------------------------------------------------
-# enumeration: trees by leaf growth and canonical-form dedup, cyclic
-# classes as rooted trees hung on a 2-core
+# enumeration: trees planted at their centroid, cyclic classes as rooted
+# trees hung on a 2-core
 
 
-def canonical_form(g: Graph) -> tuple:
-    """Isomorphism-class key of a tree.
+def _graph(n: int, edges: list[tuple[int, int]]) -> Graph:
+    """The Graph on n vertices with the sorted edges (u, v), u < v.
 
-    Leaves are peeled layer by layer; a peeled vertex's form is the tuple
-    of its child forms in decreasing tuple order (a rooted AHU form),
-    handed to its one surviving neighbour, until only the one or two
-    centres are left.  Any fixed order on the forms would do: the key
-    only has to be equal exactly on isomorphic trees.
+    Sorted edges list each vertex's neighbours in increasing order, so
+    this equals make_graph(n, edges), without its validation and
+    connectivity search.
     """
-    if g.m != g.n - 1:
-        raise PreconditionError(f"canonical_form needs a tree, got n={g.n}, m={g.m}")
-    n, adj = g.n, g.adj
-    degree = [len(a) for a in adj]
-    children: list[list[tuple]] = [[] for _ in range(n)]
-    alive = [True] * n
-    left = n
-    layer = [u for u in range(n) if degree[u] == 1]
-    while layer and left > 2:
-        nxt = []
-        for u in layer:
-            alive[u] = False
-            left -= 1
-            children[u].sort(reverse=True)
-            peeled = tuple(children[u])
-            for v in adj[u]:
-                if alive[v]:
-                    children[v].append(peeled)
-                    degree[v] -= 1
-                    if degree[v] == 1:
-                        nxt.append(v)
-        layer = nxt
-    centres = sorted((tuple(sorted(children[u], reverse=True)) for u in range(n) if alive[u]), reverse=True)
-    return centres[0] if len(centres) == 1 else tuple(centres)
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return Graph(n=n, edges=tuple(edges), adj=tuple(map(tuple, nbrs)))
 
 
-def _first_of_each_class(graphs) -> Iterator[Graph]:
-    seen = set()
-    for g in graphs:
-        key = canonical_form(g)
-        if key not in seen:
-            seen.add(key)
-            yield g
-
-
-def _with_edge(g: Graph, u: int) -> Graph:
-    """g plus the edge (u, g.n) to a new leaf.
-
-    Equal to make_graph on the grown edge list, without its validation
-    and connectivity search: a leaf on a connected graph keeps it
-    connected.
-    """
-    edges = list(g.edges)
-    insort(edges, (u, g.n))
-    adj = list(g.adj)
-    adj[u] += (g.n,)
-    adj.append((u,))
-    return Graph(n=g.n + 1, edges=tuple(edges), adj=tuple(adj))
-
-
-def enumerate_free_trees(max_n: int) -> Iterator[Graph]:
-    """One tree per isomorphism class on 1..max_n vertices, by increasing n."""
-    level = [make_graph(1, [])]
-    for n in range(1, max_n + 1):
-        if n > 1:
-            # a tree's form does not fix its size (P2 and P3 share one), so
-            # each level dedups on its own
-            level = list(_first_of_each_class(_with_edge(t, u) for t in level for u in range(n - 1)))
-        yield from level
+def _plant(children: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
+    """Edges (parent, child) of the rooted tree whose root 0 has the
+    rooted-tree classes `children` below it, numbered in preorder."""
+    edges, nxt = [], 1
+    for s, i in children:
+        edges.append((0, nxt))
+        edges.extend((p + nxt, c + nxt) for p, c in _rooted_trees(s)[i])
+        nxt += s
+    return edges
 
 
 @lru_cache(maxsize=None)
 def _rooted_trees(size: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The rooted trees on size vertices, one per class (A000081).
 
-    Each is its edge list (parent, child), with the root 0 and the other
-    vertices numbered 1..size-1 in preorder.  Class (s, i) is entry i of
-    size s; a class is its root's multiset of child classes, listed as a
-    nonincreasing tuple of (s, i) keys.  Sizes are built on first use.
+    Each is its _plant edge list, with the root 0 and the other vertices
+    numbered 1..size-1 in preorder.  Class (s, i) is entry i of size s; a
+    class is its root's multiset of child classes, listed as a
+    nonincreasing tuple of (s, i) keys.  Sizes are built on first use,
+    each from the smaller ones; free trees on n vertices need sizes up
+    to n // 2, the trees hung on a 2-core up to n - 2.
     """
-    trees = []
     # (size, 0) bounds no key of a smaller size
-    for children in _forests(size - 1, (size, 0)):
-        edges, nxt = [], 1
-        for s, i in children:
-            edges.append((0, nxt))
-            edges.extend((p + nxt, c + nxt) for p, c in _rooted_trees(s)[i])
-            nxt += s
-        trees.append(tuple(edges))
-    return tuple(trees)
+    return tuple(tuple(_plant(children)) for children in _forests(size - 1, (size, 0)))
+
+
+def enumerate_free_trees(max_n: int) -> Iterator[Graph]:
+    """One tree per isomorphism class on 1..max_n vertices, by increasing n.
+
+    By Jordan's centroid theorem a tree on n vertices either has one
+    centroid, a vertex whose branches all have at most (n - 1) // 2
+    vertices, or two adjacent centroids, whose edge splits it into two
+    rooted trees on n / 2 vertices.  So each class is exactly one of: a
+    forest of rooted trees on at most (n - 1) // 2 vertices each,
+    planted under the root 0; or, for even n, an unordered pair of
+    rooted trees on n / 2 vertices with their roots 0 and n / 2 joined.
+    Every class comes out once and no dedup runs; a level needs no
+    smaller level, only the rooted trees on at most n / 2 vertices.
+    """
+    for n in range(1, max_n + 1):
+        h = (n - 1) // 2
+        # for n <= 2 the bound (0, -1) admits no branch
+        for children in _forests(n - 1, (h, len(_rooted_trees(h)) - 1)):
+            yield _graph(n, sorted(_plant(children)))
+        if n % 2 == 0:
+            h = n // 2
+            halves = _rooted_trees(h)
+            for i, j in combinations_with_replacement(range(len(halves)), 2):
+                yield _graph(n, sorted([*halves[i], (0, h), *((p + h, c + h) for p, c in halves[j])]))
 
 
 def _forests(total: int, largest: tuple[int, int]) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -425,13 +399,8 @@ def _hang_trees(core: Graph, autos: list[tuple[int, ...]], n: int) -> Iterator[G
                 edges = list(core.edges)
                 for trees, t in zip(hung, pick):
                     edges += trees[t]
-                # sorted edges list each vertex's neighbours in increasing order
                 edges.sort()
-                nbrs: list[list[int]] = [[] for _ in range(n)]
-                for u, v in edges:
-                    nbrs[u].append(v)
-                    nbrs[v].append(u)
-                yield Graph(n=n, edges=tuple(edges), adj=tuple(map(tuple, nbrs)))
+                yield _graph(n, edges)
 
 
 def _enumerate_cyclic(cyclomatic: int, max_n: int) -> Iterator[Graph]:

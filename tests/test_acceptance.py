@@ -36,6 +36,7 @@ from fermatecc import (
     sweep_class,
     to_graph6,
 )
+from treeforms import canonical_form
 
 
 def _pass(criterion, detail, started):
@@ -93,8 +94,6 @@ def test_criterion_2_tree_inequality_sweep(tree_sweep):
 
 def test_criterion_3_tree_extremes():
     started = time.monotonic()
-    from fermatecc.generators import canonical_form
-
     levels = {}
     for g in enumerate_free_trees(10):
         levels.setdefault(g.n, []).append(g)
@@ -102,9 +101,9 @@ def test_criterion_3_tree_extremes():
         values = {}
         for g in levels[n]:
             rep = full_report(g)
-            values[canonical_form(g)] = (rep.f1, rep.f2)
-        star6 = canonical_form(fe.star(n))
-        path6 = canonical_form(fe.path(n))
+            values[canonical_form(g.n, g.edges)] = (rep.f1, rep.f2)
+        star6 = canonical_form(n, fe.star(n).edges)
+        path6 = canonical_form(n, fe.path(n).edges)
         for idx, name in ((0, "F1"), (1, "F2")):
             lo = min(v[idx] for v in values.values())
             hi = max(v[idx] for v in values.values())

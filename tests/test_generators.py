@@ -29,7 +29,8 @@ from fermatecc import (
     theta,
     two_cycles_with_tail,
 )
-from fermatecc.generators import _automorphisms, _cores, _prufer_decode, _with_edge, canonical_form
+from fermatecc.generators import _automorphisms, _cores, _prufer_decode
+from treeforms import canonical_form
 
 
 def spider(*legs):
@@ -152,19 +153,17 @@ def test_free_trees_are_distinct_trees():
     seen = set()
     for g in _levels(enumerate_free_trees)[9]:
         assert classify(g).kind is GraphKind.TREE
-        key = canonical_form(g)
+        key = canonical_form(g.n, g.edges)
         assert key not in seen
         seen.add(key)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_free_trees_match_prufer_oracle(n):
-    # independent oracle: decode every Pruefer sequence and dedup on the
-    # same canonical form; class sets must coincide exactly
-    oracle = set()
-    for seq in itertools.product(range(n), repeat=n - 2):
-        oracle.add(canonical_form(make_graph(n, _prufer_decode(list(seq), n))))
-    enumerated = {canonical_form(g) for g in _levels(enumerate_free_trees)[n]}
+    # independent oracle: decode every Pruefer sequence and key it by the
+    # reference canonical form; class sets must coincide exactly
+    oracle = {canonical_form(n, _prufer_decode(seq, n)) for seq in itertools.product(range(n), repeat=n - 2)}
+    enumerated = {canonical_form(g.n, g.edges) for g in _levels(enumerate_free_trees)[n]}
     assert enumerated == oracle
 
 
@@ -184,10 +183,10 @@ def test_bicyclic_class_counts(n):
 
 # sha256 of the newline-joined graph6 strings each enumerator streams up to
 # max_n, so a change of representative labels or of order shows here: for
-# trees the first graph of each class, for cyclic classes the least
+# trees each class planted at its centroid, for cyclic classes the least
 # labelling of each 2-core orbit
 GRAPH6_DIGESTS = [
-    (enumerate_free_trees, 12, "8ff52c9ac5354371831fbe22914b9e3842b64cb4aa67551efcbf9fc5d0a3fccc"),
+    (enumerate_free_trees, 12, "a1d027645d43f50b491f83e287fa6cdf45788369562e20e675f4953d95f55378"),
     (enumerate_unicyclic, 9, "2eabeaaaf79b6bb870b8abc440fb6790d04025e972a5fc8dedfedf6dcc3690ad"),
     (enumerate_bicyclic, 8, "4503784262081554ad921ccda4c1eb3798065e13dd3afe557089c85f296ed9eb"),
 ]
@@ -202,12 +201,8 @@ def test_enumerated_representatives_are_pinned(enumerate_class, max_n, digest):
 
 def test_with_edge_equals_make_graph():
     # every graph the enumerators build without make_graph: each tree
-    # candidate, a new leaf on a smaller tree, and each cyclic class
-    for n in range(1, 10):
-        for g in _levels(enumerate_free_trees)[n]:
-            for u in range(g.n):
-                assert _with_edge(g, u) == make_graph(g.n + 1, g.edges + ((u, g.n),))
-    for enumerate_class, max_n in ((enumerate_unicyclic, 10), (enumerate_bicyclic, 9)):
+    # planted at its centroid, and each cyclic class
+    for enumerate_class, max_n in ((enumerate_free_trees, 12), (enumerate_unicyclic, 10), (enumerate_bicyclic, 9)):
         for n in range(max_n + 1):
             for g in _levels(enumerate_class).get(n, ()):
                 assert g == make_graph(g.n, g.edges)
@@ -221,6 +216,19 @@ def test_bicyclic_enumeration_small():
     assert sum(1 for _ in enumerate_bicyclic(4)) == 1
 
 
+def test_free_trees_need_rooted_trees_up_to_half(monkeypatch):
+    # each tree hangs off its centroid or centroid edge, so no branch
+    # exceeds n // 2 vertices, however warm the rooted-tree cache is
+    import fermatecc.generators
+
+    real = fermatecc.generators._rooted_trees
+    sizes = set()
+    monkeypatch.setattr(fermatecc.generators, "_rooted_trees", lambda size: sizes.add(size) or real(size))
+    # A000055 at n = 15 and 16
+    assert sum(1 for _ in enumerate_free_trees(16)) == sum(FREE_TREE_COUNTS.values()) + 7741 + 19320
+    assert max(sizes) == 8
+
+
 def test_enumeration_below_class_minimum_is_empty():
     assert list(enumerate_free_trees(0)) == []
     assert list(enumerate_unicyclic(2)) == []
@@ -228,7 +236,8 @@ def test_enumeration_below_class_minimum_is_empty():
 
 
 # ---------------------------------------------------------------------------
-# canonical form and the 2-core enumerators (networkx is the differential oracle)
+# the reference tree key and the 2-core enumerators (networkx is the
+# differential oracle)
 
 
 def _nx(g):
@@ -247,7 +256,7 @@ def _by_degree_sequence(graphs):
 def _assert_forms_match_isomorphism(graphs):
     # equal forms iff isomorphic, over every pair with the same degree sequence
     for group in _by_degree_sequence(graphs):
-        keyed = [(canonical_form(g), g) for g in group]
+        keyed = [(canonical_form(g.n, g.edges), g) for g in group]
         for (ka, a), (kb, b) in itertools.combinations(keyed, 2):
             assert (ka == kb) == nx.is_isomorphic(_nx(a), _nx(b)), (a.edges, b.edges)
 
@@ -257,12 +266,11 @@ def _assert_forms_match_isomorphism(graphs):
 def test_canonical_form_ignores_labels(data):
     g = data.draw(st.sampled_from(_levels(enumerate_free_trees)[10]))
     perm = data.draw(st.permutations(range(g.n)))
-    h = make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-    assert canonical_form(h) == canonical_form(g)
+    assert canonical_form(g.n, [(perm[u], perm[v]) for u, v in g.edges]) == canonical_form(g.n, g.edges)
 
 
 def _leaf_extensions(t):
-    # the raw candidates enumerate_free_trees dedups: a new leaf on each vertex
+    # a new leaf on each vertex: many isomorphic copies of each larger tree
     return [make_graph(t.n + 1, t.edges + ((u, t.n),)) for u in range(t.n)]
 
 
@@ -280,14 +288,14 @@ def test_forms_of_augmentations_match_isomorphism(enumerate_base, n, grow):
 
 
 def test_canonical_form_rejects_three_cycles():
-    with pytest.raises(fe.PreconditionError):
-        canonical_form(make_graph(4, itertools.combinations(range(4), 2)))
+    with pytest.raises(ValueError):
+        canonical_form(4, itertools.combinations(range(4), 2))
 
 
 @pytest.mark.parametrize("g", [fe.cycle(5), theta(1, 2, 3), dumbbell(3, 3, 0)], ids=["cycle", "theta", "dumbbell"])
 def test_canonical_form_rejects_cyclic_graphs(g):
-    with pytest.raises(fe.PreconditionError):
-        canonical_form(g)
+    with pytest.raises(ValueError):
+        canonical_form(g.n, g.edges)
 
 
 @pytest.mark.parametrize(

@@ -117,17 +117,20 @@ def test_sweep_analyses_each_tree_once(monkeypatch):
 
 
 def test_sweep_grows_each_level_once(monkeypatch):
-    import fermatecc.generators
+    import fermatecc.verify
 
-    calls = []
-    real = fermatecc.generators.canonical_form
-    monkeypatch.setattr(
-        fermatecc.generators, "canonical_form", lambda g: calls.append(g) or real(g)
-    )
+    yields, real = [], fermatecc.verify.enumerate_free_trees
+
+    def counting(max_n):
+        yields.append(0)
+        for g in real(max_n):
+            yields[-1] += 1
+            yield g
+
+    monkeypatch.setattr(fermatecc.verify, "enumerate_free_trees", counting)
     sweep_class(GraphKind.TREE, range(2, 10))
-    # level k + 1 hangs a leaf on each of the k vertices of every tree on k
-    trees = (1, 1, 1, 2, 3, 6, 11, 23)  # A000055, k = 1..8
-    assert len(calls) == sum(k * t for k, t in enumerate(trees, 1))
+    # one call yields every class on 1..9 vertices once: A000055 summed
+    assert yields == [sum((1, 1, 1, 2, 3, 6, 11, 23, 47))] == [95]
 
 
 def test_sweep_tree_extremes_names_the_extremal_tree(monkeypatch):
