@@ -31,9 +31,9 @@ EXIT_INTERNAL = 5
 CSV_COLUMNS = "name,n,m,class,f1,f2,e1,e2,z1,z2,comparison"
 
 # largest n a verify sweep enumerates without --force; in-process, best
-# of 5 on a 2-vCPU VM, `verify tree 2..12` takes 0.09 s, `verify tree
-# 2..13` 0.22 s, `verify unicyclic 3..10` 0.11 s and `verify unicyclic
-# 3..11` 0.32 s
+# of 5 on a 2-vCPU VM, `verify tree 2..12` takes 0.06 s, `verify tree
+# 2..13` 0.12 s, `verify unicyclic 3..10` 0.08 s and `verify unicyclic
+# 3..11` 0.21 s
 FREE_TREE_CAP = 12
 UNICYCLIC_CAP = 10
 
@@ -180,7 +180,7 @@ def _write_witnesses(summary: SweepSummary, witness_dir: str) -> None:
     named += [("negative", g6) for g6 in summary.negative_instances]
     for i, (tag, g6) in enumerate(named):
         g = from_graph6(g6)
-        rep = summary.reports.get(g6) or full_report(g)  # a sweep failure has no report
+        rep = full_report(g)
         base = f"{tag}_{i:04d}"
         _write(os.path.join(witness_dir, base + ".edges"), to_edge_list(g))
         records.append({"file": base + ".edges", "kind": tag, "graph6": g6, **_report_dict(rep)})

@@ -1,8 +1,9 @@
 """Core graph representation: construction, parsing, BFS/APSP, classification.
 
 Graphs are undirected, simple, and use dense 0-based integer vertex ids.
-Distance matrices are numpy integer arrays built from one BFS per vertex,
-run on plain Python lists.
+Every distance matrix comes from distance_stack, a bit-parallel BFS from
+all sources of a stack of graphs at once; all_pairs_distances and
+bfs_distances run it on a stack of one.
 graph6 strings (McKay's six-bit format) are encoded and decoded natively.
 """
 
@@ -181,22 +182,6 @@ def to_graph6(g: Graph) -> str:
     return bytes(x + 63 for x in _graph6_size(g.n) + body).decode("ascii")
 
 
-def _bfs_row(adj, source: int) -> list[int]:
-    """Hop distances from source; plain lists, queue included, beat numpy here."""
-    dist = [-1] * len(adj)
-    dist[source] = 0
-    queue = [source]
-    for u in queue:
-        du = dist[u] + 1
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = du
-                queue.append(v)
-    if len(queue) < len(adj):
-        raise ConnectivityError("distances require a connected graph")
-    return dist
-
-
 def bfs_tree(g: Graph) -> tuple[list[int], list[int]]:
     """Vertices in BFS order from vertex 0, and the BFS parent of each (-1 at the root)."""
     parent = [-1] * g.n
@@ -216,17 +201,98 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
     """Hop distances from source to every vertex (graph must be connected)."""
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range for n={g.n}")
-    return np.array(_bfs_row(g.adj, source), dtype=np.int64)
+    return all_pairs_distances(g)[source]
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
-    """n x n matrix of hop distances; one BFS per vertex."""
-    return np.array([_bfs_row(g.adj, u) for u in range(g.n)], dtype=np.int64)
+    """n x n int64 matrix of hop distances: distance_stack on a stack of one."""
+    return distance_stack(edge_stack([g]), g.n)[0].astype(np.int64)
 
 
 def edge_stack(graphs) -> np.ndarray:
     """(K, m, 2) array of the sorted edge lists of K graphs with equal m."""
     return np.array([g.edges for g in graphs], dtype=np.intp).reshape(len(graphs), -1, 2)
+
+
+# one bit per BFS source, 64 sources to a word; the byte order is fixed so
+# that packbits/unpackbits read the same bits on any host
+_WORD = np.dtype("<u8")
+
+
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """(r, n) booleans as (r, ceil(n / 64)) words: column s of a row is bit
+    s % 64 of word s // 64."""
+    words = -(-bits.shape[1] // 64)
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    out = np.zeros((len(bits), 8 * words), dtype=np.uint8)
+    out[:, : packed.shape[1]] = packed
+    return out.view(_WORD)
+
+
+def _arcs_by_head(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tails of the arcs of a (K, m, 2) edge stack, each edge taken both
+    ways, sorted by head, with vertex v of graph j as row j * n + v; and
+    where each row's run of arcs starts.  Every row must have an arc."""
+    k = len(edges)
+    arcs = (edges + (n * np.arange(k)).reshape(k, 1, 1)).reshape(-1, 2)
+    arcs = np.concatenate([arcs, arcs[:, ::-1]])  # (tail, head)
+    degree = np.bincount(arcs[:, 1], minlength=k * n)
+    if n > 1 and not degree.all():
+        raise ConnectivityError("distances require a connected graph")
+    return arcs[np.argsort(arcs[:, 1]), 0], np.cumsum(degree) - degree
+
+
+def _level_planes(tails: np.ndarray, starts: np.ndarray, k: int, n: int) -> list[np.ndarray]:
+    """BFS from every source of k graphs at once, one level per step.
+
+    Row j * n + v, vertex v of graph j, holds one bit per source of graph
+    j.  Plane i holds the bits first reached at every level whose bit i
+    is set.
+    """
+    eye = np.eye(n, dtype=bool)
+    front = np.tile(_pack_rows(eye), (k, 1))
+    unseen = np.tile(_pack_rows(~eye), (k, 1))
+    gathered = np.empty((len(tails), front.shape[1]), dtype=_WORD)
+    reached = np.empty_like(front)
+    planes: list[np.ndarray] = []
+    level = 0
+    while unseen.any():
+        level += 1
+        np.take(front, tails, axis=0, out=gathered)
+        np.bitwise_or.reduceat(gathered, starts, axis=0, out=reached)
+        front, reached = reached, front
+        front &= unseen
+        if not front.any():
+            raise ConnectivityError("distances require a connected graph")
+        unseen ^= front
+        while len(planes) < level.bit_length():
+            planes.append(np.zeros_like(front))
+        for i, plane in enumerate(planes):
+            if level >> i & 1:
+                plane |= front
+    return planes
+
+
+def distance_stack(edges: np.ndarray, n: int) -> np.ndarray:
+    """(K, n, n) int32 hop distances of the K connected graphs of a (K, m, 2)
+    edge stack on n vertices, every source of every graph at once.
+
+    A multi-source bit-parallel BFS (MS-BFS, Then et al., VLDB 2014): the
+    K graphs are laid out as K * n rows, one per vertex, each a bitset of
+    the n sources of its graph.  The arcs are sorted by head once, so each
+    level is one gather of the frontier at every arc's tail, one OR over
+    each head's run of arcs, and a mask with the unreached bits.
+    Distances are kept bit-sliced, one plane per bit of the level number,
+    so memory is (log2(diameter) + 4) bitsets of K * n * n bits plus the
+    gathered arcs, and the planes are decoded once at the end.
+    """
+    k = len(edges)
+    planes = _level_planes(*_arcs_by_head(edges, n), k, n)
+    d = np.zeros((k * n, n), dtype=np.int32)
+    for plane in reversed(planes):
+        d <<= 1  # most significant plane first
+        d |= np.unpackbits(plane.view(np.uint8), axis=1, count=n, bitorder="little")
+    return d.reshape(k, n, n)
 
 
 def edge_ends(x: np.ndarray, edges: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ F1/F2 use Fermat eccentricities, E1/E2 ordinary eccentricities, Z1/Z2
 vertex degrees.  index_stack computes all six for a stack of graphs with
 equal n and m in one set of array reductions: eps3 by the fermat stack
 kernels, eccentricities as row maxima of the distance stack, degrees and
-edge sums by indexing a (K, m, 2) edge array.  full_report and the
+edge sums by indexing a (K, m, 2) edge array, from which the distance
+stack itself comes when none is supplied.  full_report and the
 zagreb_* functions run the same code on a stack of one.  The comparison
 of F2/m against F1/n is decided by the sign of the integer n*F2 - m*F1,
 taken in Python ints; no floating point is ever involved.
@@ -26,6 +27,7 @@ from .graph import (
     all_pairs_distances,
     classify,
     degree_stack,
+    distance_stack,
     eccentricities,
     eccentricity2_profile,
     edge_ends,
@@ -101,6 +103,7 @@ class IndexStack(NamedTuple):
     m: int
     kind: GraphKind
     edges: np.ndarray  # (K, m, 2)
+    d: np.ndarray  # (K, n, n) distances
     eps3: np.ndarray  # (K, n)
     degree: np.ndarray  # (K, n)
     f1: np.ndarray  # (K,), as are the five sums below
@@ -128,13 +131,16 @@ class IndexStack(NamedTuple):
         )
 
 
-def index_stack(graphs, d: np.ndarray) -> IndexStack:
+def index_stack(graphs, d: np.ndarray | None) -> IndexStack:
     """All six indices and the comparison of K connected graphs with equal
-    n and m, from their (K, n, n) distance stack d."""
+    n and m, from their (K, n, n) distance stack d.  With d None the
+    distances come from distance_stack on the same edge stack."""
     g = graphs[0]
     if g.m == 0:
         raise PreconditionError("the comparison needs at least one edge")
     edges = edge_stack(graphs)
+    if d is None:
+        d = distance_stack(edges, g.n)
     eps = eps3_stack(graphs, d)
     degree = degree_stack(edges, g.n)
     f1, f2 = _zagreb(eps, edges)
@@ -145,6 +151,7 @@ def index_stack(graphs, d: np.ndarray) -> IndexStack:
         m=g.m,
         kind=classify(g).kind,
         edges=edges,
+        d=d,
         eps3=eps,
         degree=degree,
         f1=f1,

@@ -5,11 +5,12 @@ n and m: edge-Lipschitz, the main inequality with its path
 characterisation, the eccentric analogue and the diametral-path lemmas.
 A lemma function returns every graph's failure flag and a formatter of
 one graph's problems.  Sweeps take the enumerator's stream one level at
-a time, in chunks of at most fermat._TABLE // n^2 graphs: one distance
-matrix per graph, stacked, then the indices and every lemma as array
-reductions over the chunk, so a level is never held whole.  The
-per-graph check_* functions run the same lemma functions on a stack of
-one, so their details are the sweep's, byte for byte.
+a time, in chunks of at most fermat._TABLE // n^2 graphs: the chunk's
+distance stack from one bit-parallel BFS over all its graphs, then the
+indices and every lemma as array reductions over the chunk, so a level
+is never held whole.  The per-graph check_* functions run the same lemma
+functions on a stack of one, so their details are the sweep's, byte for
+byte.
 
 A failing CheckOutcome names its instance as a graph6 string (or, for
 the cyclic-sequence lemma, the sequence), so any failure can be
@@ -55,7 +56,7 @@ from .graph import (
     make_graph,
     to_graph6,
 )
-from .indices import Comparison, IndexReport, IndexStack, full_report, index_stack
+from .indices import Comparison, IndexStack, full_report, index_stack
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,6 @@ class SweepSummary:
     positive_instances: list[str] = field(default_factory=list)
     negative_instances: list[str] = field(default_factory=list)
     complete: bool = True
-    # IndexReport of each positive and negative instance, keyed by graph6
-    reports: dict[str, IndexReport] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -227,9 +226,10 @@ def check_diametrical_lemmas(t: Graph, d: np.ndarray | None = None, eps3=None) -
         raise PreconditionError("check_diametrical_lemmas requires a tree")
     if d is None:
         d = all_pairs_distances(t)
+    else:
+        check_path_rows(t, d)
     if eps3 is None:
         eps3 = eps3_tree(t, d).eps3
-    check_path_rows(t, d)
     eps = np.array(eps3, dtype=np.int64).reshape(1, t.n)
     lemma = _diametral_lemmas(d[None], eps, decorate_stack([t], d[None]))
     return _single("diametrical_lemmas", t, lemma)
@@ -293,14 +293,10 @@ def _chunks(level, n: int):
 
 
 def _analyse(graphs: list[Graph]) -> tuple[np.ndarray, IndexStack]:
-    """The distance stack and the indices of one chunk: APSP once per graph.
-
-    Distances are below n, so the stack is int32, like the oracle's table.
-    """
-    d = np.empty((len(graphs), graphs[0].n, graphs[0].n), dtype=np.int32)
-    for k, g in enumerate(graphs):
-        d[k] = all_pairs_distances(g)
-    return d, index_stack(graphs, d)
+    """The (K, n, n) int32 distance stack and the indices of one chunk,
+    from one edge stack and one distance_stack call for the whole chunk."""
+    ix = index_stack(graphs, None)
+    return ix.d, ix
 
 
 def _failures(graphs: list[Graph], d: np.ndarray, ix: IndexStack) -> list[CheckOutcome]:
@@ -421,16 +417,11 @@ def _family_grid():
                 yield two_cycles_with_tail(c, c, 2 * half, half // tail_frac)
 
 
-def _record(summary: SweepSummary, g: Graph, report: IndexReport) -> None:
-    if report.comparison is Comparison.POSITIVE:
-        instances = summary.positive_instances
-    elif report.comparison is Comparison.NEGATIVE:
-        instances = summary.negative_instances
-    else:
-        return
-    g6 = to_graph6(g)
-    instances.append(g6)
-    summary.reports[g6] = report
+def _record(summary: SweepSummary, g: Graph, comparison: Comparison) -> None:
+    if comparison is Comparison.POSITIVE:
+        summary.positive_instances.append(to_graph6(g))
+    elif comparison is Comparison.NEGATIVE:
+        summary.negative_instances.append(to_graph6(g))
 
 
 def search_counterexample(
@@ -457,9 +448,8 @@ def search_counterexample(
             for graphs in _chunks(level, n):
                 _, ix = _analyse(graphs)
                 summary.instance_count += len(graphs)
-                for k, comparison in enumerate(ix.comparisons):
-                    if comparison is not Comparison.ZERO:
-                        _record(summary, graphs[k], ix.report(k))
+                for g, comparison in zip(graphs, ix.comparisons):
+                    _record(summary, g, comparison)
         # exhaustive over all classes in range: complete even if one side
         # has no instance at these sizes, unless the budget cut it short
         summary.complete = next(stream, None) is None
@@ -469,7 +459,7 @@ def search_counterexample(
             if summary.instance_count >= budget:
                 break
             summary.instance_count += 1
-            _record(summary, g, full_report(g))
+            _record(summary, g, full_report(g).comparison)
         summary.complete = bool(summary.positive_instances and summary.negative_instances)
     else:  # random-walk
         budget = budget if budget is not None else 300
@@ -478,7 +468,7 @@ def search_counterexample(
         g = random_connected(14, seed=rng.randrange(2**32), extra_edges=3)
         while summary.instance_count < budget:
             summary.instance_count += 1
-            _record(summary, g, full_report(g))
+            _record(summary, g, full_report(g).comparison)
             # edge-swap perturbation preserving m (hence cyclomatic) and
             # connectivity
             for _ in range(50):

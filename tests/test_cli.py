@@ -251,15 +251,16 @@ def test_search_incomplete_exit_code(capsys):
 
 
 def test_search_witness_dir(tmp_path, capsys, monkeypatch):
-    # the witness files reuse the search's own reports instead of recomputing them
+    # the search keeps no reports: each witness record is one full_report
+    # on its named graph, in the records' order
     calls = []
     monkeypatch.setattr(fe.cli, "full_report", lambda *a: calls.append(a) or fe.full_report(*a))
     wdir = tmp_path / "wit"
     assert main(["search", "family-sweep", "--witness-dir", str(wdir)]) == 0
     capsys.readouterr()
-    assert calls == []
     records = json.loads((wdir / "witnesses.json").read_text())
     assert records
+    assert [fe.to_graph6(g) for g, in calls] == [rec["graph6"] for rec in records]
     for rec in records:
         g = fe.parse_edge_list((wdir / rec["file"]).read_text())
         assert rec["graph6"] == fe.to_graph6(g)

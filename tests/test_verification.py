@@ -97,6 +97,7 @@ def test_sweep_analyses_each_tree_once(monkeypatch):
     import fermatecc.verify
 
     calls = {"graph6": 0, "apsp": 0}
+    stacks = []  # (n, the graphs' edge lists) of each distance_stack call
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -105,15 +106,28 @@ def test_sweep_analyses_each_tree_once(monkeypatch):
 
         return wrapped
 
+    real = fermatecc.indices.distance_stack
+
+    def recording(edges, n):
+        stacks.append((n, [e.tobytes() for e in edges]))
+        return real(edges, n)
+
     monkeypatch.setattr(fermatecc.verify, "to_graph6", counting("graph6", fermatecc.verify.to_graph6))
-    # every module-level name the package looks APSP up under
+    # every module-level name the package looks per-graph APSP up under
     for module in (fermatecc.verify, fermatecc.indices, fermatecc.fermat, fermatecc.generators):
         monkeypatch.setattr(module, "all_pairs_distances", counting("apsp", module.all_pairs_distances))
+    monkeypatch.setattr(fermatecc.indices, "distance_stack", recording)
     summary = sweep_class(GraphKind.TREE, range(2, 9))
     assert summary.passed
-    # graph6 only for the reported (equality) graphs, APSP once per tree
+    # graph6 only for the reported (equality) graphs, and no per-graph APSP
     assert calls["graph6"] == len(summary.equality_instances)
-    assert calls["apsp"] == summary.instance_count
+    assert calls["apsp"] == 0
+    # one distance_stack call per chunk (each level 2..8 is one chunk),
+    # whose stack holds every tree of the level exactly once
+    assert [(n, len(set(edges))) for n, edges in stacks] == [
+        (2, 1), (3, 1), (4, 2), (5, 3), (6, 6), (7, 11), (8, 23)
+    ]
+    assert sum(len(edges) for _, edges in stacks) == summary.instance_count
 
 
 def test_sweep_grows_each_level_once(monkeypatch):
