@@ -18,7 +18,7 @@ import sys
 from .errors import ConnectivityError, GraphError, ParseError, PreconditionError, ValidationError
 from .generators import bicyclic_delta_formula, multicyclic_delta_formula
 from .graph import Graph, GraphKind, from_graph6, parse_edge_list, to_edge_list
-from .indices import IndexReport, full_report
+from .indices import IndexReport, full_report, index_chunks
 from .verify import SEARCH_STRATEGIES, SweepSummary, search_counterexample, sweep_class
 
 EXIT_OK = 0
@@ -169,25 +169,39 @@ def _parse_range(spec: str) -> range:
         raise UsageError(f"bad vertex count range {spec!r}; expected N or LO..HI") from None
 
 
+def _named(summary: SweepSummary):
+    """(kind, graph6) of each graph the summary names, in witness order."""
+    yield from (("failure", f.instance) for f in summary.failures)
+    yield from (("positive", g6) for g6 in summary.positive_instances)
+    yield from (("negative", g6) for g6 in summary.negative_instances)
+
+
 def _write_witnesses(summary: SweepSummary, witness_dir: str) -> None:
+    """Write each named graph's edge list, and stream witnesses.json one
+    record at a time: json.dumps(records, indent=2, sort_keys=True) + "\n",
+    from reports analysed in chunks."""
     try:
         os.makedirs(witness_dir, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot write {witness_dir}: {exc.strerror}") from None
-    records = []
-    named = [("failure", f.instance) for f in summary.failures]
-    named += [("positive", g6) for g6 in summary.positive_instances]
-    named += [("negative", g6) for g6 in summary.negative_instances]
-    for i, (tag, g6) in enumerate(named):
-        g = from_graph6(g6)
-        rep = full_report(g)
-        base = f"{tag}_{i:04d}"
-        _write(os.path.join(witness_dir, base + ".edges"), to_edge_list(g))
-        records.append({"file": base + ".edges", "kind": tag, "graph6": g6, **_report_dict(rep)})
-    _write(
-        os.path.join(witness_dir, "witnesses.json"),
-        json.dumps(records, indent=2, sort_keys=True) + "\n",
-    )
+    # the summary's graphs are connected (distance_stack refuses any that
+    # is not), so no adjacency is built to check it
+    graphs = (from_graph6(g6, strict=False) for _, g6 in _named(summary))
+    reports = ((g, ix.report(k)) for chunk, ix in index_chunks(graphs) for k, g in enumerate(chunk))
+    listing = os.path.join(witness_dir, "witnesses.json")
+    try:
+        with open(listing, "w") as fh:
+            fh.write("[")
+            i = -1
+            for i, ((tag, g6), (g, rep)) in enumerate(zip(_named(summary), reports)):
+                base = f"{tag}_{i:04d}"
+                _write(os.path.join(witness_dir, base + ".edges"), to_edge_list(g))
+                record = {"file": base + ".edges", "kind": tag, "graph6": g6, **_report_dict(rep)}
+                text = json.dumps(record, indent=2, sort_keys=True)
+                fh.write((",\n  " if i else "\n  ") + text.replace("\n", "\n  "))
+            fh.write("\n]\n" if i >= 0 else "]\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {listing}: {exc.strerror}") from None
 
 
 def cmd_compute(args) -> int:

@@ -229,20 +229,6 @@ def random_connected(n: int, seed: int, extra_edges: int | None = None) -> Graph
 # trees hung on a 2-core
 
 
-def _graph(n: int, edges: list[tuple[int, int]]) -> Graph:
-    """The Graph on n vertices with the sorted edges (u, v), u < v.
-
-    Sorted edges list each vertex's neighbours in increasing order, so
-    this equals make_graph(n, edges), without its validation and
-    connectivity search.
-    """
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    return Graph(n=n, edges=tuple(edges), adj=tuple(map(tuple, nbrs)))
-
-
 def _plant(children: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
     """Edges (parent, child) of the rooted tree whose root 0 has the
     rooted-tree classes `children` below it, numbered in preorder."""
@@ -286,12 +272,12 @@ def enumerate_free_trees(max_n: int) -> Iterator[Graph]:
         h = (n - 1) // 2
         # for n <= 2 the bound (0, -1) admits no branch
         for children in _forests(n - 1, (h, len(_rooted_trees(h)) - 1)):
-            yield _graph(n, sorted(_plant(children)))
+            yield Graph(n, tuple(sorted(_plant(children))))
         if n % 2 == 0:
             h = n // 2
             halves = _rooted_trees(h)
             for i, j in combinations_with_replacement(range(len(halves)), 2):
-                yield _graph(n, sorted([*halves[i], (0, h), *((p + h, c + h) for p, c in halves[j])]))
+                yield Graph(n, tuple(sorted([*halves[i], (0, h), *((p + h, c + h) for p, c in halves[j])])))
 
 
 def _forests(total: int, largest: tuple[int, int]) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -399,7 +385,7 @@ def _hang_trees(core: Graph, autos: list[tuple[int, ...]], n: int) -> Iterator[G
                 for trees, t in zip(hung, pick):
                     edges += trees[t]
                 edges.sort()
-                yield _graph(n, edges)
+                yield Graph(n, tuple(edges))
 
 
 def _enumerate_cyclic(cyclomatic: int, max_n: int) -> Iterator[Graph]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -32,11 +33,21 @@ class GraphClass:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable undirected simple graph on vertices 0..n-1."""
+    """Immutable undirected simple graph on vertices 0..n-1, with its edges
+    (u, v), u < v, in sorted order."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    adj: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours, built on first use; sorted edges list
+        them in increasing order, the smaller ones first."""
+        nbrs: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return tuple(map(tuple, nbrs))
 
     @property
     def m(self) -> int:
@@ -78,11 +89,7 @@ def make_graph(n: int, edges, strict: bool = True) -> Graph:
     norm.sort()
     if strict and len(norm) < n - 1:  # too few edges to connect n vertices; checked before allocating
         raise ConnectivityError(f"graph with n={n}, m={len(norm)} is not connected")
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in norm:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    g = Graph(n=n, edges=tuple(norm), adj=tuple(tuple(sorted(a)) for a in nbrs))
+    g = Graph(n=n, edges=tuple(norm))
     if strict and not is_connected(g):
         raise ConnectivityError(f"graph with n={n}, m={len(norm)} is not connected")
     return g

@@ -5,20 +5,24 @@ vertex degrees.  index_stack computes all six for a stack of graphs with
 equal n and m in one set of array reductions: eps3 by the fermat stack
 kernels, eccentricities as row maxima of the distance stack, degrees and
 edge sums by indexing a (K, m, 2) edge array, from which the distance
-stack itself comes when none is supplied.  full_report and the
-zagreb_* functions run the same code on a stack of one.  The comparison
-of F2/m against F1/n is decided by the sign of the integer n*F2 - m*F1,
-taken in Python ints; no floating point is ever involved.
+stack itself comes when none is supplied.  index_chunks feeds any graph
+stream to it in chunks that fit one fermat table, so each list the
+package analyses (sweep levels, search streams, witness files) is held a
+chunk at a time; full_report and the zagreb_* functions run the same
+code on a stack of one.  The comparison of F2/m against F1/n is decided
+by the sign of the integer n*F2 - m*F1, in Python ints, never floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from itertools import groupby, islice
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from . import fermat
 from .errors import ConnectivityError, PreconditionError
 from .fermat import FermatProfile, eps3_stack
 from .graph import (
@@ -164,6 +168,16 @@ def index_stack(graphs, d: np.ndarray | None) -> IndexStack:
             compare_averages(g.n, g.m, a, b) for a, b in zip(f1.tolist(), f2.tolist())
         ),
     )
+
+
+def index_chunks(graphs) -> Iterator[tuple[list[Graph], IndexStack]]:
+    """A stream's graphs in order as (chunk, its IndexStack): each run of
+    equal (n, m) cut into chunks whose (K, n, n) distance stack holds at
+    most fermat._TABLE entries (at least one graph)."""
+    for (n, _), run in groupby(graphs, key=lambda g: (g.n, g.m)):
+        size = max(1, fermat._TABLE // (n * n))
+        for chunk in iter(lambda: list(islice(run, size)), []):
+            yield chunk, index_stack(chunk, None)
 
 
 def full_report(g: Graph, d: np.ndarray | None = None) -> IndexReport:

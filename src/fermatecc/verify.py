@@ -5,19 +5,18 @@ n and m: edge-Lipschitz, the main inequality with its path
 characterisation, the eccentric analogue and the diametral-path lemmas.
 A lemma function returns every graph's failure flag and a formatter of
 one graph's problems.  Sweeps take the enumerator's stream one level at
-a time, in chunks of at most fermat._TABLE // n^2 graphs: the chunk's
-distance stack from one bit-parallel BFS over all its graphs, then the
-indices and every lemma as array reductions over the chunk, so a level
-is never held whole.  The per-graph check_* functions run the same lemma
-functions on a stack of one, so their details are the sweep's, byte for
-byte.
+a time, through indices.index_chunks: each chunk's distance stack from
+one bit-parallel BFS over all its graphs, then the indices and every
+lemma as array reductions over the chunk, so a level is never held
+whole.  The per-graph check_* functions run the same lemma functions on
+a stack of one, so their details are the sweep's, byte for byte.
 
 A failing CheckOutcome names its instance as a graph6 string (or, for
 the cyclic-sequence lemma, the sequence), so any failure can be
 re-checked standalone; a passing one has instance "".  Only reported
 graphs are encoded.  The counterexample search hunts multicyclic graphs
-on both sides of the comparison inequality; its exhaustive strategy
-analyses the bicyclic stream in the same chunks.
+on both sides of the comparison inequality; all but random-walk, whose
+next graph depends on the last one, analyse their streams in the same chunks.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from itertools import groupby, islice
 
 import numpy as np
 
-from . import fermat
 from .errors import PreconditionError
 from .fermat import eps3_profile, eps3_tree
 from .generators import (  # decorate_tree: perfbench's tracer looks the name up here
@@ -56,7 +54,7 @@ from .graph import (
     make_graph,
     to_graph6,
 )
-from .indices import Comparison, IndexStack, full_report, index_stack
+from .indices import Comparison, IndexStack, full_report, index_chunks
 
 
 @dataclass(frozen=True)
@@ -285,21 +283,7 @@ def check_eccentric_analogue(g: Graph, report=None) -> CheckOutcome:
 # sweeps: a level at a time, in stacked chunks
 
 
-def _chunks(level, n: int):
-    """Consecutive chunks of a same-n stream whose (K, n, n) distance
-    stacks hold at most fermat._TABLE entries (at least one graph)."""
-    size = max(1, fermat._TABLE // (n * n))
-    return iter(lambda: list(islice(level, size)), [])
-
-
-def _analyse(graphs: list[Graph]) -> tuple[np.ndarray, IndexStack]:
-    """The (K, n, n) int32 distance stack and the indices of one chunk,
-    from one edge stack and one distance_stack call for the whole chunk."""
-    ix = index_stack(graphs, None)
-    return ix.d, ix
-
-
-def _failures(graphs: list[Graph], d: np.ndarray, ix: IndexStack) -> list[CheckOutcome]:
+def _failures(graphs: list[Graph], ix: IndexStack) -> list[CheckOutcome]:
     """Every failed check of a chunk, graph by graph in the checks' order."""
     lemmas = [
         ("edge_lipschitz", _edge_lipschitz(ix.eps3, ix.edges)),
@@ -310,8 +294,8 @@ def _failures(graphs: list[Graph], d: np.ndarray, ix: IndexStack) -> list[CheckO
         ("eccentric_analogue", _eccentric_analogue(ix.n, ix.m, ix.e1.tolist(), ix.e2.tolist())),
     ]
     if ix.kind is GraphKind.TREE:
-        dec = decorate_stack(graphs, d)
-        lemmas.append(("diametrical_lemmas", _diametral_lemmas(d, ix.eps3, dec)))
+        dec = decorate_stack(graphs, ix.d)
+        lemmas.append(("diametrical_lemmas", _diametral_lemmas(ix.d, ix.eps3, dec)))
     failed = np.logical_or.reduce([bad for _, (bad, _) in lemmas])
     return [
         CheckOutcome(name, to_graph6(graphs[k]), False, "; ".join(problems(k)))
@@ -350,10 +334,9 @@ def _sweep_level(summary: SweepSummary, n: int, level) -> None:
     """Analyse one level of the stream chunk by chunk, recording into summary."""
     picks: dict = {}  # (index, side) -> [(first extreme value, its tree) per chunk]
     shapes: dict = {}  # "star" / "path" -> indices of the first such tree
-    for graphs in _chunks(level, n):
-        d, ix = _analyse(graphs)
+    for graphs, ix in index_chunks(level):
         summary.instance_count += len(graphs)
-        summary.failures.extend(_failures(graphs, d, ix))
+        summary.failures.extend(_failures(graphs, ix))
         summary.equality_instances.extend(
             to_graph6(g) for g, c in zip(graphs, ix.comparisons) if c is Comparison.ZERO
         )
@@ -441,27 +424,22 @@ def search_counterexample(
         raise ValueError(f"unknown strategy {strategy!r}; choose from {SEARCH_STRATEGIES}")
     summary = SweepSummary(swept=f"search:{strategy}")
 
-    if strategy == "exhaustive-small":
-        budget = budget if budget is not None else 10_000
-        stream = enumerate_bicyclic(max_n)
-        for n, level in groupby(islice(stream, budget), key=lambda g: g.n):
-            for graphs in _chunks(level, n):
-                _, ix = _analyse(graphs)
-                summary.instance_count += len(graphs)
-                for g, comparison in zip(graphs, ix.comparisons):
-                    _record(summary, g, comparison)
-        # exhaustive over all classes in range: complete even if one side
-        # has no instance at these sizes, unless the budget cut it short
-        summary.complete = next(stream, None) is None
-    elif strategy == "family-sweep":
-        budget = budget if budget is not None else 200
-        for g in _family_grid():
-            if summary.instance_count >= budget:
-                break
-            summary.instance_count += 1
-            _record(summary, g, full_report(g).comparison)
-        summary.complete = bool(summary.positive_instances and summary.negative_instances)
-    else:  # random-walk
+    if strategy != "random-walk":
+        exhaustive = strategy == "exhaustive-small"
+        stream = enumerate_bicyclic(max_n) if exhaustive else _family_grid()
+        if budget is None:
+            budget = 10_000 if exhaustive else 200
+        for graphs, ix in index_chunks(islice(stream, budget)):
+            summary.instance_count += len(graphs)
+            for g, comparison in zip(graphs, ix.comparisons):
+                _record(summary, g, comparison)
+        if exhaustive:
+            # exhaustive over all classes in range: complete even if one side
+            # has no instance at these sizes, unless the budget cut it short
+            summary.complete = next(stream, None) is None
+        else:
+            summary.complete = bool(summary.positive_instances and summary.negative_instances)
+    else:
         budget = budget if budget is not None else 300
         rng = random.Random(seed)
         # a spanning tree plus 3 extra edges: cyclomatic number 3

@@ -18,6 +18,7 @@ import pytest
 import fermatecc as fe
 import fermatecc.verify as verify
 from fermatecc import Comparison, GraphKind, IndexReport, classify, eps3_pruned, fermat_distance
+from fermatecc.indices import index_chunks
 
 
 def _levels(stream):
@@ -26,12 +27,8 @@ def _levels(stream):
 
 
 def _chunk_reports(graphs):
-    """Each graph's report, read off the sweep's own chunks."""
-    reports = []
-    for chunk in verify._chunks(iter(graphs), graphs[0].n):
-        _, ix = verify._analyse(chunk)
-        reports.extend(ix.report(k) for k in range(len(chunk)))
-    return reports
+    """Each graph's report, read off the chunks every list analysis uses."""
+    return [ix.report(k) for chunk, ix in index_chunks(graphs) for k in range(len(chunk))]
 
 
 def _reference_report(g):
@@ -145,7 +142,7 @@ def test_lemma_failures_match_the_definitions():
                 delta = rng.choice((-2, -1, 0, 1, 2))
                 row[rng.randrange(n)] += delta
                 changed += delta != 0
-            got = verify._failures(trees, d, ix._replace(eps3=eps))
+            got = verify._failures(trees, ix._replace(eps3=eps))
             want = []
             for t, dt, e, dec in zip(trees, d, eps.tolist(), decorations):
                 single = []
@@ -184,7 +181,7 @@ def _tied_extremes(monkeypatch):
     tied across the level, so the checks must name the first tree in
     stream order that attains them.
     """
-    real = verify.index_stack
+    real = fe.indices.index_stack
 
     def tied(graphs, d):
         ix = real(graphs, d)
@@ -192,7 +189,7 @@ def _tied_extremes(monkeypatch):
         paths = verify._is_path(ix.degree)
         return ix._replace(f1=stars.astype(np.int64), f2=-paths.astype(np.int64))
 
-    monkeypatch.setattr(verify, "index_stack", tied)
+    monkeypatch.setattr(fe.indices, "index_stack", tied)
 
 
 def _expected_extremes(max_n):
@@ -227,12 +224,28 @@ def test_chunking_leaves_the_summaries_unchanged(monkeypatch):
     # 3000 entries: 30 trees of 10 vertices per chunk, 106 in the level;
     # 46 unicyclic or bicyclic graphs of 8 vertices, 89 and 236 in the levels
     monkeypatch.setattr(fe.fermat, "_TABLE", 3000)
-    assert len(list(verify._chunks(iter(range(106)), 10))) == 4
-    assert len(list(verify._chunks(iter(range(236)), 8))) == 6
+    trees10 = [t for t in fe.enumerate_free_trees(10) if t.n == 10]
+    bicyclic8 = [g for g in fe.enumerate_bicyclic(8) if g.n == 8]
+    assert [len(chunk) for chunk, _ in index_chunks(trees10)] == [30, 30, 30, 16]
+    assert [len(chunk) for chunk, _ in index_chunks(bicyclic8)] == [46] * 5 + [6]
     assert fe.sweep_class(GraphKind.TREE, range(2, 11)) == trees
     assert fe.sweep_class(GraphKind.UNICYCLIC, range(3, 9)) == unicyclic
     for budget, summary in zip((327, 328, 10_000), searches):
         assert fe.search_counterexample("exhaustive-small", budget=budget, max_n=8) == summary
+
+
+def test_index_chunks_cut_the_stream_at_every_change_of_n_and_m():
+    # path(4) and star(4) share (n, m) = (4, 3) but are not consecutive
+    stream = [fe.path(4), fe.cycle(4), fe.star(4), fe.path(5), fe.star(5), fe.cycle(5)]
+    chunks = [(chunk, ix) for chunk, ix in index_chunks(iter(stream))]
+    assert [chunk for chunk, _ in chunks] == [stream[:1], stream[1:2], stream[2:3], stream[3:5], stream[5:]]
+    assert [(ix.n, ix.m, ix.kind) for _, ix in chunks] == [
+        (4, 3, GraphKind.TREE), (4, 4, GraphKind.UNICYCLIC), (4, 3, GraphKind.TREE),
+        (5, 4, GraphKind.TREE), (5, 5, GraphKind.UNICYCLIC),
+    ]
+    reports = [ix.report(k) for chunk, ix in chunks for k in range(len(chunk))]
+    assert reports == [fe.full_report(g) for g in stream]
+    assert list(index_chunks(iter([]))) == []
 
 
 def test_level_analysis_memory_is_bounded_by_the_table(monkeypatch):

@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, determinism, witnesses."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -250,17 +251,28 @@ def test_search_incomplete_exit_code(capsys):
     assert not payload["complete"]
 
 
-def test_search_witness_dir(tmp_path, capsys, monkeypatch):
-    # the search keeps no reports: each witness record is one full_report
-    # on its named graph, in the records' order
-    calls = []
-    monkeypatch.setattr(fe.cli, "full_report", lambda *a: calls.append(a) or fe.full_report(*a))
+def test_search_witness_dir(tmp_path, capsys):
+    # witnesses.json, written record by record, is byte for byte one
+    # json.dumps of the list of records, each from a fresh full_report on
+    # its named graph, in the summary's order
     wdir = tmp_path / "wit"
     assert main(["search", "family-sweep", "--witness-dir", str(wdir)]) == 0
-    capsys.readouterr()
-    records = json.loads((wdir / "witnesses.json").read_text())
+    summary = json.loads(capsys.readouterr().out)
+    text = (wdir / "witnesses.json").read_text()
+    records = json.loads(text)
     assert records
-    assert [fe.to_graph6(g) for g, in calls] == [rec["graph6"] for rec in records]
+    named = [("positive", g6) for g6 in summary["positive_instances"]]
+    named += [("negative", g6) for g6 in summary["negative_instances"]]
+    expected = [
+        {
+            "file": f"{tag}_{i:04d}.edges",
+            "kind": tag,
+            "graph6": g6,
+            **fe.cli._report_dict(fe.full_report(fe.from_graph6(g6))),
+        }
+        for i, (tag, g6) in enumerate(named)
+    ]
+    assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
     for rec in records:
         g = fe.parse_edge_list((wdir / rec["file"]).read_text())
         assert rec["graph6"] == fe.to_graph6(g)
@@ -268,6 +280,30 @@ def test_search_witness_dir(tmp_path, capsys, monkeypatch):
         assert list(rep.eps3) == rec["eps3"]
         assert rep.f1 == rec["f1"] and rep.f2 == rec["f2"]
         assert rep.comparison.value == rec["comparison"]
+
+
+def test_empty_witness_list(tmp_path, capsys):
+    # a budget of 0 names no graph: the list is json.dumps([]) and no edge file is written
+    wdir = tmp_path / "wit"
+    argv = ["search", "exhaustive-small", "--max-n", "4", "--budget", "0", "--witness-dir", str(wdir)]
+    assert main(argv) == 4
+    capsys.readouterr()
+    assert [p.name for p in wdir.iterdir()] == ["witnesses.json"]
+    assert (wdir / "witnesses.json").read_bytes() == b"[]\n"
+
+
+# sha256 of search family-sweep's JSON stdout, pinned from one full_report
+# per graph: analysing the grid in chunks must not change a byte
+FAMILY_SWEEP_DIGESTS = [
+    ((), "0a05da3852f045a4d85e16f7cbf644e71df6949375eceb5233720d244feb2d7c"),
+    (("--budget", "2"), "1f0f8eaede6ac356335f6cb26fb40b7547cf13e6e18764f63136ed9231966b86"),
+]
+
+
+@pytest.mark.parametrize("extra, digest", FAMILY_SWEEP_DIGESTS, ids=["default", "budget-2"])
+def test_family_sweep_output_is_pinned(extra, digest, capsys):
+    main(["search", "family-sweep", *extra])
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_cli_byte_identical_across_threads(p4_file):

@@ -148,9 +148,9 @@ def test_sweep_grows_each_level_once(monkeypatch):
 
 
 def test_sweep_tree_extremes_names_the_extremal_tree(monkeypatch):
-    import fermatecc.verify
+    import fermatecc.indices
 
-    real = fermatecc.verify.index_stack
+    real = fermatecc.indices.index_stack
 
     def inflated_star(graphs, d):
         # the sweep reads F1 off each chunk's index arrays
@@ -158,7 +158,8 @@ def test_sweep_tree_extremes_names_the_extremal_tree(monkeypatch):
         stars = ix.degree.max(axis=1) == ix.n - 1
         return ix._replace(f1=ix.f1 + 1000 * (stars & (ix.n == 5)))
 
-    monkeypatch.setattr(fermatecc.verify, "index_stack", inflated_star)
+    # index_chunks, which every chunked analysis runs through, looks it up there
+    monkeypatch.setattr(fermatecc.indices, "index_stack", inflated_star)
     summary = sweep_class(GraphKind.TREE, range(5, 6))
     low, high = [f for f in summary.failures if f.check_name == "tree_extremes"]
     # each failure names the tree holding the extreme: the chair (max degree
