@@ -6,13 +6,15 @@ Three interchangeable computation paths:
                   One numpy broadcast covers a block of source vertices,
                   or of whole graphs of a stack, as many as fit in
                   _TABLE entries.
-* eps3_pruned  -- same values, skips pairs using exact lower/upper bounds.
-                  Single-threaded: vertices are visited in BFS order, each
-                  bounded by the edge-Lipschitz lemma |eps3(u) - eps3(p)|
-                  <= 1 against its BFS parent p.  The pair that attained
-                  eps3(p) is tried first; if it reaches eps3(p) + 1 the
-                  bound pass is skipped (the cap exit).  The pairs the
-                  bounds leave open are evaluated in numpy blocks.
+* eps3_pruned  -- same values from fewer pairs and fewer candidate Fermat
+                  vertices (lemmas A and B below), skipping pairs by
+                  exact lower/upper bounds.  Single-threaded: vertices
+                  are visited in BFS order, each bounded by the
+                  edge-Lipschitz lemma |eps3(u) - eps3(p)| <= 1 against
+                  its BFS parent p.  The pair that attained eps3(p) is
+                  tried first; if it reaches eps3(p) + 1 the bound pass
+                  is skipped (the cap exit).  The pairs the bounds leave
+                  open are evaluated in numpy blocks.
 * eps3_tree    -- O(n) per vertex fast path valid on trees only.
 
 eps3_profile picks by size and class: trees take eps3_tree, other graphs
@@ -28,6 +30,19 @@ ordered pairs (v, w) in V x V, repeats included (the literal definition).
 For n >= 2 distinct pairs give the same maximum: F(u,v,v) = d(u,v) <= F(u,v,w).
 The fast paths return values only; the oracle alone can name a maximising
 pair and its Fermat vertex.
+
+Two exact lemmas shrink eps3_pruned's search, F being the Fermat distance.
+Lemma A: the pair ends v and w, repeats included, may be taken from any
+set S that holds every non-cut vertex, such as the vertices of degree
+<= 1 and those with no neighbour outside the 2-core.  Proof: for a cut
+vertex v, either some component of G - v holds neither u nor w, and any
+x there gives F(u,x,w) >= F(u,v,w) + 1, or v separates u from w, and then
+F(u,v,w) = d(u,w) <= ecc(u) = F(u,x,x) for a farthest vertex x from u,
+which is never a cut vertex.  Lemma B: a minimising Fermat vertex that is
+not u, v or w has degree >= 3, because at a vertex of degree <= 2 two of
+the three shortest paths leave through one neighbour and stepping there
+lowers the sum.  So the least of the three terminal sums (eps3_pruned's upper
+bound) and the sums over the hubs, the vertices of degree >= 3, is exact.
 """
 
 from __future__ import annotations
@@ -90,10 +105,13 @@ def fermat_vertices(d: np.ndarray, u: int, v: int, w: int) -> tuple[int, ...]:
 _TABLE = 1 << 18
 
 # eps3_profile sends non-tree graphs up to this size to the oracle.  On
-# random unicyclic, bicyclic and denser graphs (same VM, supplied d) the
-# oracle took 0.06 ms per graph at n = 12 against 0.25 ms for
-# eps3_pruned, 0.11 against 0.26-0.35 ms at n = 16 and 0.17-0.23 against
-# 0.26-0.30 ms at n = 20; from n = 24 on eps3_pruned was as fast or faster.
+# random non-tree graphs with 1, 2 or 5 chords (same VM, supplied d, 150
+# per size) the oracle took 0.06-0.10 ms per graph at n = 12 against
+# 0.19-0.46 ms for eps3_pruned, and 0.22-0.39 against 0.29-0.62 ms at
+# n = 20; the two were level at n = 22-24, and from n = 26 on
+# eps3_pruned was faster.  Shrinking the pairs and the Fermat vertices
+# (lemmas A and B) did not move the crossover: at these sizes the
+# per-vertex Python work, not the pair count, sets the pruned time.
 _ORACLE_MAX_N = 20
 
 
@@ -167,31 +185,62 @@ def eps3_oracle(
 
 
 # Pairs evaluated exactly per numpy call.  On the 400-vertex, 439-edge
-# benchmark graph (2-vCPU Xeon VM) blocks of 16 to 96 pairs all ran the
-# kernel in 0.25-0.3 s, because the per-vertex bound pass dominates,
-# while exact evaluations grew with the block: 34k at 16, 47k at 64,
-# 99k at 256 and 257k at 1024, which also ran twice as slow.
+# benchmark graph (2-vCPU Xeon VM) blocks of 32 to 256 pairs ran the
+# kernel in 0.039-0.047 s and blocks of 16 in 0.057 s, while exact
+# evaluations grew with the block: 16.6k at 16, 18.1k at 64 and 23.3k
+# at 256.
 _BLOCK = 64
+
+
+def _pair_ends_and_hubs(g: Graph) -> tuple[list[int], list[int]]:
+    """The pair ends S and the hubs of g (lemmas A and B, module docstring).
+
+    S holds the vertices of degree <= 1 and those with no neighbour
+    outside the 2-core; one leaf-peeling pass finds the vertices next to
+    a peeled one.  Every vertex left out of S is a cut vertex.  The hubs
+    are the vertices of degree >= 3, or vertex 0 where there are none:
+    an extra vertex keeps the minimum exact, and one keeps the hub
+    columns from being empty.
+    """
+    adj = g.adj
+    deg = [len(a) for a in adj]
+    hubs = [v for v, k in enumerate(deg) if k >= 3] or [0]
+    peeled = [v for v, k in enumerate(deg) if k <= 1]
+    by_tree = [False] * g.n
+    for v in peeled:  # grows as the peeling goes
+        for x in adj[v]:
+            by_tree[x] = True
+            deg[x] -= 1
+            if deg[x] == 1:
+                peeled.append(x)
+    ends = [v for v, a in enumerate(adj) if len(a) <= 1 or not by_tree[v]]
+    return ends, hubs
 
 
 def eps3_pruned(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
     """Bound-pruned computation; value-identical to eps3_oracle.
 
+    The pairs (v, w), v <= w, run over the pair ends S only (lemma A in
+    the module docstring).  A block's exact Fermat distances are the
+    least of each pair's upper bound, which routes the triple through
+    one of its own terminals, and its sums over the hubs alone (lemma B).
+
     Vertices are visited in BFS order from vertex 0.  Across an edge
     every pair's Fermat distance changes by at most 1, so eps3(u) is
     within 1 of eps3(p), p being u's BFS parent and already done.  At u
-    the pair that attained eps3(p) is evaluated first; if it reaches the
-    cap eps3(p) + 1, that is eps3(u) (the cap exit).  Otherwise the
-    running maximum starts at the larger of that probe and the largest
-    lower bound over the pairs (v, w), v <= w, and stops at the cap.
-    The lower bound is the ceiling of half the pairwise-distance
-    perimeter; the upper bound routes the triple through one of its own
-    terminals.  The pairs whose upper bound still beats it are
-    evaluated exactly in blocks of _BLOCK, highest lower bound first,
-    and filtered again after each raise.  pair_evaluations counts each
-    probe and every pair of every evaluated block, so where the probe
-    never reaches the cap (a cycle with a long tail, whose eps3 stays
-    level) it adds one evaluation per vertex.
+    the pair that attained eps3(p) is evaluated first, over every
+    vertex: for one pair a full column sum is cheaper than the terminal
+    sums lemma B needs.  If it reaches the cap eps3(p) + 1, that is
+    eps3(u) (the cap exit).  Otherwise the running maximum starts at the
+    larger of that probe and the largest lower bound over the pairs, and
+    stops at the cap.  The lower bound is the ceiling of half the
+    pairwise-distance perimeter.  The pairs whose upper bound still
+    beats it are evaluated exactly in blocks of _BLOCK, highest lower
+    bound first, and filtered again after each raise.
+    pair_evaluations counts each probe and every pair of every
+    evaluated block, pairs of S only, so where the probe never reaches
+    the cap (a cycle with a long tail, whose eps3 stays level) it adds
+    one evaluation per vertex.
     """
     if d is None:
         d = all_pairs_distances(g)
@@ -199,17 +248,19 @@ def eps3_pruned(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
     order, parent = bfs_tree(g)
     if len(order) < n:
         raise ConnectivityError("eps3_pruned requires a connected graph")
+    ends, hubs = _pair_ends_and_hubs(g)
     # distances are below n, so int32 sums cannot overflow; they run ~20%
     # faster than int64
     d32 = d.astype(np.int32)
-    iu, iw = np.triu_indices(n)
+    dh = d32[:, hubs]
+    iu, iw = np.take(ends, np.triu_indices(len(ends)))
     dvw = d32[iu, iw]
     eps = [0] * n
     # per vertex, the index into (iu, iw) of one pair whose exact value is eps[u]
     arg = [0] * n
     evals = 0
     for u in order:
-        du = d32[u]
+        du, dhu = d32[u], dh[u]
         best, cap, k = -1, None, 0
         p = parent[u]
         if p >= 0:
@@ -235,7 +286,7 @@ def eps3_pruned(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
                     blk, cand = cand, cand[:0]
                 evals += blk.size
                 # d is symmetric, so rows stand in for columns
-                vals = (du + d32[iu[blk]] + d32[iw[blk]]).min(axis=1)
+                vals = np.minimum(ub[blk], (dhu + dh[iu[blk]] + dh[iw[blk]]).min(axis=1))
                 top = int(vals.argmax())
                 if vals[top] > best:
                     best, k = int(vals[top]), int(blk[top])

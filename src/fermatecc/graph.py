@@ -87,11 +87,14 @@ def make_graph(n: int, edges, strict: bool = True) -> Graph:
         seen.add((u, v))
         norm.append((u, v))
     norm.sort()
-    if strict and len(norm) < n - 1:  # too few edges to connect n vertices; checked before allocating
-        raise ConnectivityError(f"graph with n={n}, m={len(norm)} is not connected")
     g = Graph(n=n, edges=tuple(norm))
-    if strict and not is_connected(g):
-        raise ConnectivityError(f"graph with n={n}, m={len(norm)} is not connected")
+    return _require_connected(g) if strict else g
+
+
+def _require_connected(g: Graph) -> Graph:
+    # too few edges to connect n vertices is caught before adjacency is built
+    if g.n > g.m + 1 or not is_connected(g):
+        raise ConnectivityError(f"graph with n={g.n}, m={g.m} is not connected")
     return g
 
 
@@ -169,6 +172,8 @@ def from_graph6(line: str | bytes, strict: bool = True) -> Graph:
     body, nbits = data[head:], n * (n - 1) // 2
     if len(data) < head or len(body) != (nbits + 5) // 6:
         raise ParseError(f"graph6 data does not fit its vertex count n={n}: {line[:40]!r}")
+    if n < 1:
+        raise ValidationError(f"vertex count must be >= 1, got {n}")
     edges = []
     for t, x in enumerate(body):
         for b in range(6) if x else ():
@@ -176,7 +181,9 @@ def from_graph6(line: str | bytes, strict: bool = True) -> Graph:
             if x >> 5 - b & 1 and k < nbits:
                 j = (1 + isqrt(8 * k + 1)) // 2
                 edges.append((k - j * (j - 1) // 2, j))
-    return make_graph(n, edges, strict=strict)
+    # each bit names one pair i < j < n, so the edges need no make_graph checks
+    g = Graph(n, tuple(sorted(edges)))
+    return _require_connected(g) if strict else g
 
 
 def to_graph6(g: Graph) -> str:

@@ -5,6 +5,7 @@ against eps3_oracle, which alone names a maximising pair.
 """
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +199,46 @@ def _spider(legs, leg_len, ring=0):
 def test_pruned_agrees_on_spiders_and_tadpoles(legs, leg_len, ring):
     g = _spider(legs, leg_len, ring)
     d = all_pairs_distances(g)
+    assert eps3_pruned(g, d).eps3 == eps3_oracle(g, d).eps3
+
+
+def _cored_trees(k, n, seed):
+    """A dense random core on k vertices with random trees hung on it, n vertices in all."""
+    core = fe.random_connected(k, seed=seed, extra_edges=k * (k - 1) // 4)
+    rng = np.random.default_rng(seed)
+    return fe.make_graph(n, [*core.edges, *((int(rng.integers(v)), v) for v in range(k, n))])
+
+
+def _above_cutoff():
+    """Graphs above the oracle's size limit that shrink each axis of eps3_pruned."""
+    for ring, tail in [(3, 18), (4, 25), (5, 31), (8, 32)]:
+        yield pytest.param(_spider(1, tail, ring), id=f"tadpole-{ring}-{tail}")
+    for n in (21, 28, 33, 40):
+        yield pytest.param(fe.cycle(n), id=f"cycle-{n}")  # no hub at all
+    for seed, (k, n) in enumerate([(6, 21), (8, 30), (10, 40), (7, 36)]):
+        yield pytest.param(_cored_trees(k, n, seed), id=f"cored-{k}-{n}")
+
+
+@pytest.mark.parametrize("g", _above_cutoff())
+def test_pruned_agrees_above_the_oracle_cutoff(g):
+    assert fe.fermat._ORACLE_MAX_N < g.n <= 40
+    d = all_pairs_distances(g)
+    prof = eps3_profile(g, d)
+    assert prof.pair_evaluations is not None  # the pruned path ran
+    assert prof.eps3 == eps3_oracle(g, d).eps3, fe.to_graph6(g)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 90])
+def test_pruned_agrees_on_the_benchmark_structure(seed, monkeypatch):
+    # perfbench's compute_large graph at n = 60: one random spanning tree
+    # with 8 chords, relabelled by the seed
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from workloads import build_graph
+
+    g = fe.make_graph(60, build_graph(60, 8, seed))
+    d = all_pairs_distances(g)
+    ends, hubs = fe.fermat._pair_ends_and_hubs(g)
+    assert len(ends) < g.n and len(hubs) < g.n  # both axes shrink
     assert eps3_pruned(g, d).eps3 == eps3_oracle(g, d).eps3
 
 

@@ -1,5 +1,8 @@
 """Property-based invariants over randomly drawn graphs."""
 
+import itertools
+import random
+
 import networkx as nx
 import numpy as np
 from hypothesis import example, given, settings
@@ -22,6 +25,17 @@ def random_trees(draw, max_n=20):
     n = draw(st.integers(min_value=2, max_value=max_n))
     seed = draw(st.integers(min_value=0, max_value=2**31))
     return fe.random_tree(n, seed=seed)
+
+
+@st.composite
+def graphs_with_pendant_trees(draw, max_n=14):
+    """A random connected core, each further vertex hung on an earlier one."""
+    k = draw(st.integers(min_value=1, max_value=8))
+    n = draw(st.integers(min_value=k, max_value=max_n))
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    core = fe.random_connected(k, seed=seed, extra_edges=draw(st.integers(min_value=0, max_value=k)))
+    rng = random.Random(seed)
+    return fe.make_graph(n, [*core.edges, *((rng.randrange(v), v) for v in range(k, n))])
 
 
 @settings(max_examples=60, deadline=None)
@@ -77,6 +91,31 @@ def test_fermat_half_perimeter_lower_bound(g):
 def test_edge_lipschitz_everywhere(g):
     eps3 = eps3_oracle(g).eps3
     assert all(abs(eps3[u] - eps3[v]) <= 1 for u, v in g.edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_with_pendant_trees())
+def test_pair_ends_attain_every_eccentricity(g):
+    # lemma A, checked on the oracle's own pair values: the pairs over the
+    # pair ends S, repeats included, reach eps3 at every vertex, and every
+    # vertex left out of S is a cut vertex
+    d = all_pairs_distances(g)
+    ends, _ = fe.fermat._pair_ends_and_hubs(g)
+    # f[u, v, w] = min over s of d(s, u) + d(s, v) + d(s, w)
+    f = (d[:, :, None, None] + d[:, None, :, None] + d[:, None, None, :]).min(axis=0)
+    assert tuple(f[:, ends][:, :, ends].max(axis=(1, 2)).tolist()) == eps3_oracle(g, d).eps3
+    assert set(range(g.n)) - set(ends) <= set(nx.articulation_points(nx.Graph(g.edges)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(max_n=9))
+def test_fermat_vertex_is_a_terminal_or_a_hub(g):
+    # lemma B: a minimising Fermat vertex that is not u, v or w has degree >= 3
+    d = all_pairs_distances(g)
+    hubs = [x for x in range(g.n) if g.degree(x) >= 3]
+    for u, v, w in itertools.product(range(g.n), repeat=3):
+        s = [u, v, w, *hubs]
+        assert int((d[s, u] + d[s, v] + d[s, w]).min()) == fermat_distance(d, u, v, w)
 
 
 @settings(max_examples=40, deadline=None)
