@@ -9,12 +9,14 @@ Three interchangeable computation paths:
 * eps3_pruned  -- same values from fewer pairs and fewer candidate Fermat
                   vertices (lemmas A and B below), skipping pairs by
                   exact lower/upper bounds.  Single-threaded: vertices
-                  are visited in BFS order, each bounded by the
-                  edge-Lipschitz lemma |eps3(u) - eps3(p)| <= 1 against
-                  its BFS parent p.  The pair that attained eps3(p) is
-                  tried first; if it reaches eps3(p) + 1 the bound pass
-                  is skipped (the cap exit).  The pairs the bounds leave
-                  open are evaluated in numpy blocks.
+                  are visited in BFS order from a centre, each bounded
+                  by the edge-Lipschitz lemma |eps3(u) - eps3(p)| <= 1
+                  against its BFS parent p.  The pair that attained
+                  eps3(p) is tried first; if it reaches eps3(p) + 1 the
+                  bound pass is skipped (the cap exit).  The bound pass
+                  scans only the pairs whose reach (lemma C) beats the
+                  running maximum, and the pairs the bounds leave open
+                  are evaluated in numpy blocks.
 * eps3_tree    -- O(n) per vertex fast path valid on trees only.
 
 eps3_profile picks by size and class: trees take eps3_tree, other graphs
@@ -31,7 +33,7 @@ For n >= 2 distinct pairs give the same maximum: F(u,v,v) = d(u,v) <= F(u,v,w).
 The fast paths return values only; the oracle alone can name a maximising
 pair and its Fermat vertex.
 
-Two exact lemmas shrink eps3_pruned's search, F being the Fermat distance.
+Three exact lemmas shrink eps3_pruned's search, F being the Fermat distance.
 Lemma A: the pair ends v and w, repeats included, may be taken from any
 set S that holds every non-cut vertex, such as the vertices of degree
 <= 1 and those with no neighbour outside the 2-core.  Proof: for a cut
@@ -43,6 +45,11 @@ not u, v or w has degree >= 3, because at a vertex of degree <= 2 two of
 the three shortest paths leave through one neighbour and stepping there
 lowers the sum.  So the least of the three terminal sums (eps3_pruned's upper
 bound) and the sums over the hubs, the vertices of degree >= 3, is exact.
+Lemma C: F(u,v,w) <= reach(v,w) = d(v,w) + min(ecc(v), ecc(w)) for every
+u, ecc being the ordinary eccentricity.  Proof: routing the triple
+through v gives F(u,v,w) <= d(u,v) + d(v,w) <= ecc(v) + d(v,w), and the
+same holds through w.  So a pair whose reach is at most the running
+maximum cannot raise it at any vertex.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConnectivityError, PreconditionError
-from .graph import Graph, all_pairs_distances, bfs_tree, is_connected
+from .graph import Graph, all_pairs_distances, bfs_tree, eccentricities, is_connected
 
 
 @dataclass(frozen=True)
@@ -106,12 +113,14 @@ _TABLE = 1 << 18
 
 # eps3_profile sends non-tree graphs up to this size to the oracle.  On
 # random non-tree graphs with 1, 2 or 5 chords (same VM, supplied d, 150
-# per size) the oracle took 0.06-0.10 ms per graph at n = 12 against
-# 0.19-0.46 ms for eps3_pruned, and 0.22-0.39 against 0.29-0.62 ms at
-# n = 20; the two were level at n = 22-24, and from n = 26 on
-# eps3_pruned was faster.  Shrinking the pairs and the Fermat vertices
-# (lemmas A and B) did not move the crossover: at these sizes the
-# per-vertex Python work, not the pair count, sets the pruned time.
+# per size, best of 7 interleaved rounds) the oracle took 0.05-0.06 ms
+# per graph at n = 12 against 0.19-0.25 ms for eps3_pruned, and
+# 0.20-0.21 against 0.23-0.52 ms at n = 20; the two were level at
+# n = 22-24, and from n = 26 on eps3_pruned was faster (0.55-0.68
+# against 0.73-0.75 ms).  Neither the pair ends and hubs (lemmas A and
+# B) nor the reach prefix and the centre root (lemma C) moved the
+# crossover: at these sizes the per-vertex Python work, not the pair
+# count, sets the pruned time.
 _ORACLE_MAX_N = 20
 
 
@@ -221,22 +230,28 @@ def eps3_pruned(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
     """Bound-pruned computation; value-identical to eps3_oracle.
 
     The pairs (v, w), v <= w, run over the pair ends S only (lemma A in
-    the module docstring).  A block's exact Fermat distances are the
-    least of each pair's upper bound, which routes the triple through
-    one of its own terminals, and its sums over the hubs alone (lemma B).
+    the module docstring), sorted once by reach(v, w) = d(v, w) +
+    min(ecc(v), ecc(w)), highest first.  By lemma C no pair outside the
+    prefix whose reach beats the running maximum can raise it, so each
+    bound pass scans that prefix only.  A block's exact Fermat
+    distances are the least of each pair's upper bound, which routes
+    the triple through one of its own terminals, and its sums over the
+    hubs alone (lemma B).
 
-    Vertices are visited in BFS order from vertex 0.  Across an edge
-    every pair's Fermat distance changes by at most 1, so eps3(u) is
-    within 1 of eps3(p), p being u's BFS parent and already done.  At u
-    the pair that attained eps3(p) is evaluated first, over every
-    vertex: for one pair a full column sum is cheaper than the terminal
-    sums lemma B needs.  If it reaches the cap eps3(p) + 1, that is
-    eps3(u) (the cap exit).  Otherwise the running maximum starts at the
-    larger of that probe and the largest lower bound over the pairs, and
-    stops at the cap.  The lower bound is the ceiling of half the
-    pairwise-distance perimeter.  The pairs whose upper bound still
-    beats it are evaluated exactly in blocks of _BLOCK, highest lower
-    bound first, and filtered again after each raise.
+    Vertices are visited in BFS order from a centre, the vertex of least
+    eccentricity with the smallest id: eps3 tends to rise away from it,
+    so more vertices take the cap exit below.  Across an edge every
+    pair's Fermat distance changes by at most 1, so eps3(u) is within 1
+    of eps3(p), p being u's BFS parent and already done.  At u the pair
+    that attained eps3(p) is evaluated first, over every vertex: for one
+    pair a full column sum is cheaper than the terminal sums lemma B
+    needs.  If it reaches the cap eps3(p) + 1, that is eps3(u) (the cap
+    exit).  Otherwise the running maximum starts at the larger of that
+    probe and the largest lower bound over the prefix, and stops at the
+    cap.  The lower bound is the ceiling of half the pairwise-distance
+    perimeter.  The prefix pairs whose upper bound still beats it are
+    evaluated exactly in blocks of _BLOCK, highest lower bound first,
+    and filtered again after each raise.
     pair_evaluations counts each probe and every pair of every
     evaluated block, pairs of S only, so where the probe never reaches
     the cap (a cycle with a long tail, whose eps3 stays level) it adds
@@ -245,7 +260,8 @@ def eps3_pruned(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
     if d is None:
         d = all_pairs_distances(g)
     n = g.n
-    order, parent = bfs_tree(g)
+    ecc = eccentricities(d)
+    order, parent = bfs_tree(g, int(ecc.argmin()))  # a centre, the smallest id
     if len(order) < n:
         raise ConnectivityError("eps3_pruned requires a connected graph")
     ends, hubs = _pair_ends_and_hubs(g)
@@ -254,7 +270,19 @@ def eps3_pruned(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
     d32 = d.astype(np.int32)
     dh = d32[:, hubs]
     iu, iw = np.take(ends, np.triu_indices(len(ends)))
+    # the pairs by reach (lemma C), highest first, as an ascending key.
+    # reach <= 2(n - 1); numpy sorts an int16 key stably by radix, 0.5
+    # against 3.0 ms for an int32 key on 30k pairs, and a stable sort
+    # keeps the pair order, and so pair_evaluations, the same everywhere
     dvw = d32[iu, iw]
+    reach = dvw + np.minimum(ecc[iu], ecc[iw])
+    key = np.negative(reach, dtype=np.int16 if 2 * (n - 1) < 1 << 15 else np.int32)
+    by_reach = np.argsort(key, kind="stable")
+    iu, iw, dvw, key = iu[by_reach], iw[by_reach], dvw[by_reach], key[by_reach]
+    # stops[b + 1] counts the pairs with reach > b, b = -1 .. 2(n - 1), and
+    # is at least one, so that lb below is never empty.  best is a pair's
+    # exact value or lower bound, never above its reach, so b = best fits
+    stops = np.maximum(key.searchsorted(-np.arange(-1, 2 * n - 1, dtype=key.dtype)), 1).tolist()
     eps = [0] * n
     # per vertex, the index into (iu, iw) of one pair whose exact value is eps[u]
     arg = [0] * n
@@ -269,9 +297,11 @@ def eps3_pruned(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
             best = int((du + d32[iu[k]] + d32[iw[k]]).min())
             evals += 1
         if best != cap:
-            pv, pw = du[iu], du[iw]
-            lb = (pv + pw + dvw + 1) >> 1
-            ub = np.minimum(pv + pw, np.minimum(pv, pw) + dvw)
+            # only the pairs with reach > best can raise best (lemma C)
+            j = stops[best + 1]
+            pv, pw, pvw = du[iu[:j]], du[iw[:j]], dvw[:j]
+            lb = (pv + pw + pvw + 1) >> 1
+            ub = np.minimum(pv + pw, np.minimum(pv, pw) + pvw)
             # if best ends at lb.max(), that pair attains it; best >= every
             # tight pair's exact value, so each pair with ub > best has lb < ub
             top = int(lb.argmax())

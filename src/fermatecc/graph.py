@@ -196,12 +196,12 @@ def to_graph6(g: Graph) -> str:
     return bytes(x + 63 for x in _graph6_size(g.n) + body).decode("ascii")
 
 
-def bfs_tree(g: Graph) -> tuple[list[int], list[int]]:
-    """Vertices in BFS order from vertex 0, and the BFS parent of each (-1 at the root)."""
+def bfs_tree(g: Graph, root: int = 0) -> tuple[list[int], list[int]]:
+    """Vertices in BFS order from root, and the BFS parent of each (-1 at the root)."""
     parent = [-1] * g.n
     seen = [False] * g.n
-    seen[0] = True
-    order = [0]
+    seen[root] = True
+    order = [root]
     for u in order:
         for v in g.adj[u]:
             if not seen[v]:

@@ -178,6 +178,11 @@ def test_pruned_agrees_on_named_multicyclic():
         assert eps3_pruned(g, d).eps3 == eps3_oracle(g, d).eps3, fe.to_graph6(g)
 
 
+def _relabel(g, perm):
+    """g with vertex v renamed perm[v]."""
+    return fe.make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 def _spider(legs, leg_len, ring=0):
     """legs paths of leg_len vertices hanging from vertex 0, and a ring-cycle through 0 if ring."""
     edges = [(i, (i + 1) % ring) for i in range(ring)]
@@ -200,6 +205,54 @@ def test_pruned_agrees_on_spiders_and_tadpoles(legs, leg_len, ring):
     g = _spider(legs, leg_len, ring)
     d = all_pairs_distances(g)
     assert eps3_pruned(g, d).eps3 == eps3_oracle(g, d).eps3
+    # again with the last leg's end as vertex 0, a far leaf that is no
+    # centre, so the BFS does not start where vertex 0 is
+    perm = list(range(g.n))
+    perm[0], perm[-1] = perm[-1], perm[0]
+    g = _relabel(g, perm)
+    d = all_pairs_distances(g)
+    assert g.degree(0) == 1 and d[0].max() > d.max(axis=1).min()
+    assert eps3_pruned(g, d).eps3 == eps3_oracle(g, d).eps3
+
+
+def _random_connected_upto_12():
+    for seed in range(120):
+        yield fe.random_connected(2 + seed % 11, seed=seed, extra_edges=seed % 13)
+
+
+@pytest.mark.parametrize(
+    "graphs",
+    [pytest.param(lambda: fe.enumerate_unicyclic(8), id="unicyclic-8"),
+     pytest.param(lambda: fe.enumerate_bicyclic(7), id="bicyclic-7"),
+     pytest.param(_random_connected_upto_12, id="random-12")],
+)
+def test_reach_bounds_every_triple(graphs):
+    # lemma C: routing the triple through v gives F(u, v, w) <= d(u, v) +
+    # d(v, w) <= ecc(v) + d(v, w), and the same through w, for every u
+    for g in graphs():
+        d = all_pairs_distances(g)
+        ecc = d.max(axis=1)
+        f = (d[:, :, None, None] + d[:, None, :, None] + d[:, None, None, :]).min(axis=0)
+        assert (f <= d + np.minimum.outer(ecc, ecc)).all(), fe.to_graph6(g)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pruned_is_invariant_under_relabelling(seed):
+    # the BFS root is the centre vertex of smallest id, so relabelling
+    # moves it; the values must follow the labels and nothing else.
+    # Cycles, where every vertex is a centre, and tadpoles are included
+    rng = np.random.default_rng(seed)
+    graphs = [
+        fe.random_connected(21 + 3 * seed, seed=seed, extra_edges=seed),
+        _cored_trees(5 + seed, 24 + seed, seed),
+        fe.cycle(21 + seed),
+        _spider(1, 18 + seed, 3 + seed),
+    ]
+    for g in graphs:
+        eps = eps3_pruned(g).eps3
+        perm = rng.permutation(g.n).tolist()
+        moved = eps3_pruned(_relabel(g, perm)).eps3
+        assert tuple(moved[perm[v]] for v in range(g.n)) == eps, fe.to_graph6(g)
 
 
 def _cored_trees(k, n, seed):

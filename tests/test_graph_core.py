@@ -145,6 +145,18 @@ def test_bfs_distances_path():
     assert bfs_distances(g, 2).tolist() == [2, 1, 0, 1, 2]
 
 
+@pytest.mark.parametrize("root", [0, 3, 7])
+def test_bfs_tree_from_any_root(root):
+    g = fe.random_connected(12, seed=root, extra_edges=4)
+    order, parent = fe.graph.bfs_tree(g, root)
+    dist = bfs_distances(g, root)
+    assert order[0] == root and parent[root] == -1
+    assert sorted(order) == list(range(g.n))
+    assert np.all(np.diff(dist[order]) >= 0)  # level by level
+    for v in order[1:]:
+        assert g.has_edge(v, parent[v]) and dist[parent[v]] == dist[v] - 1
+
+
 def test_all_pairs_matches_bfs_rows():
     g = fe.random_connected(25, seed=7, extra_edges=4)
     d = all_pairs_distances(g)
