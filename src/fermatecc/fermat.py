@@ -15,8 +15,9 @@ Three interchangeable computation paths:
                   eps3(p) is tried first; if it reaches eps3(p) + 1 the
                   bound pass is skipped (the cap exit).  The bound pass
                   scans only the pairs whose reach (lemma C) beats the
-                  running maximum, and the pairs the bounds leave open
-                  are evaluated in numpy blocks.
+                  running maximum, keeps those whose landmark bound
+                  (below) beats it too, and evaluates the pairs the
+                  bounds leave open in numpy blocks.
 * eps3_tree    -- O(n) per vertex fast path valid on trees only.
 
 eps3_profile picks by size and class: trees take eps3_tree, other graphs
@@ -50,6 +51,14 @@ u, ecc being the ordinary eccentricity.  Proof: routing the triple
 through v gives F(u,v,w) <= d(u,v) + d(v,w) <= ecc(v) + d(v,w), and the
 same holds through w.  So a pair whose reach is at most the running
 maximum cannot raise it at any vertex.
+
+The landmark bound needs no lemma: F is a minimum over every vertex s,
+so any fixed vertex h gives F(u,v,w) <= d(u,h) + d(h,v) + d(h,w)
+(landmarks, as in Goldberg and Harrelson's A* search, SODA 2005).
+eps3_pruned takes the least of these over _LANDMARKS central hubs.
+Its sums never exceed 3 diam + 1, so it holds distances in the
+narrowest signed integer type that fits that (_sum_dtype): int8 up to
+diameter 42, int16 up to diameter 10922, int32 above.
 """
 
 from __future__ import annotations
@@ -113,14 +122,15 @@ _TABLE = 1 << 18
 
 # eps3_profile sends non-tree graphs up to this size to the oracle.  On
 # random non-tree graphs with 1, 2 or 5 chords (same VM, supplied d, 150
-# per size, best of 7 interleaved rounds) the oracle took 0.05-0.06 ms
-# per graph at n = 12 against 0.19-0.25 ms for eps3_pruned, and
-# 0.20-0.21 against 0.23-0.52 ms at n = 20; the two were level at
-# n = 22-24, and from n = 26 on eps3_pruned was faster (0.55-0.68
-# against 0.73-0.75 ms).  Neither the pair ends and hubs (lemmas A and
-# B) nor the reach prefix and the centre root (lemma C) moved the
-# crossover: at these sizes the per-vertex Python work, not the pair
-# count, sets the pruned time.
+# per size, best of 7 interleaved rounds) eps3_pruned took 4.8-5.2x the
+# oracle's time per graph at n = 12 (0.09 against 0.43-0.46 ms), 1.8-2.1x
+# at n = 20 and 1.4-1.5x at n = 22; the two were level at n = 24
+# (0.93-1.21x), and from n = 26 on eps3_pruned was faster (0.75-0.86x at
+# n = 26, 0.62-0.80x at n = 28).  Neither the pair ends and hubs (lemmas
+# A and B), the reach prefix and the centre root (lemma C), nor the
+# landmark bound and the narrow distance type moved the crossover: at
+# these sizes the per-vertex Python work, not the pair count, sets the
+# pruned time.
 _ORACLE_MAX_N = 20
 
 
@@ -194,11 +204,39 @@ def eps3_oracle(
 
 
 # Pairs evaluated exactly per numpy call.  On the 400-vertex, 439-edge
-# benchmark graph (2-vCPU Xeon VM) blocks of 32 to 256 pairs ran the
-# kernel in 0.039-0.047 s and blocks of 16 in 0.057 s, while exact
-# evaluations grew with the block: 16.6k at 16, 18.1k at 64 and 23.3k
-# at 256.
+# benchmark graph (2-vCPU Xeon VM, supplied d, 16 relabellings, best of
+# 7 interleaved rounds) a bound pass leaves a median of 8-12 open pairs
+# after the landmark bound, so only 3-6 of its about 105 passes need a
+# second block.  Blocks of 32 to 256 pairs ran the kernel within 1% of
+# 64 in the median (0.94-1.04x per relabelling) and blocks of 16 at
+# 1.02x, while the median exact evaluations grew with the block: 1.5k
+# at 16, 2.1k at 64 and 2.2k at 256.
 _BLOCK = 64
+
+# Hubs whose distances bound each pair in eps3_pruned's bound pass (the
+# landmark bound, module docstring).  On the 400-vertex, 439-edge
+# benchmark graph (2-vCPU Xeon VM, supplied d, 16 relabellings, best of
+# 7 interleaved rounds) 1, 2, 4, 8 and 16 landmarks took 1.48x, 1.12x,
+# 1, 0.96x and 1.14x the kernel time of 4 (medians), for median exact
+# evaluations of 8.1k, 5.9k, 3.4k, 2.1k and 1.7k: past 8 the bound costs
+# more than the evaluations it saves.  Over 24 relabellings 8 beat 4 on
+# 18 (median 0.94x); on random graphs with 1-5 chords it took 0.90x the
+# time of 4 at n = 24 and 0.82x at n = 40.
+_LANDMARKS = 8
+
+
+def _sum_dtype(top: int) -> type:
+    """The narrowest signed integer type that holds every value in 0..top.
+
+    eps3_pruned sums at most three distances plus one, so top = 3 diam + 1
+    picks int8 up to diameter 42 and int16 up to diameter 10922.
+    """
+    for t in (np.int8, np.int16):
+        if top <= np.iinfo(t).max:
+            return t
+    # 3 diam + 1 overflows int32 only past n = 7 * 10^8 vertices, far beyond
+    # any n x n distance matrix that fits in memory
+    return np.int32
 
 
 def _pair_ends_and_hubs(g: Graph) -> tuple[list[int], list[int]]:
@@ -233,10 +271,18 @@ def eps3_pruned(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
     the module docstring), sorted once by reach(v, w) = d(v, w) +
     min(ecc(v), ecc(w)), highest first.  By lemma C no pair outside the
     prefix whose reach beats the running maximum can raise it, so each
-    bound pass scans that prefix only.  A block's exact Fermat
-    distances are the least of each pair's upper bound, which routes
-    the triple through one of its own terminals, and its sums over the
-    hubs alone (lemma B).
+    bound pass scans that prefix only.  Of the prefix it keeps only the
+    pairs whose landmark bound, the least of d(u, h) + d(h, v) + d(h, w)
+    over the _LANDMARKS hubs h of least eccentricity (smallest ids among
+    ties), still beats the maximum: F is a minimum over every vertex, so
+    routing through a fixed h bounds it from above.  d(h, v) + d(h, w)
+    is summed once per pair, so the bound costs one sum and one minimum
+    per landmark and needs no gather.  The kept pairs' upper bound is the
+    least of the landmark bound and the sums through the pair's own
+    terminals, and a block's exact Fermat distances are the least of
+    that bound and the sums over the hubs alone (lemma B).  Distances
+    are held in the narrowest signed integer type that holds 3 diam + 1
+    (_sum_dtype), which bounds every sum here: int8 up to diameter 42.
 
     Vertices are visited in BFS order from a centre, the vertex of least
     eccentricity with the smallest id: eps3 tends to rise away from it,
@@ -247,9 +293,10 @@ def eps3_pruned(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
     pair a full column sum is cheaper than the terminal sums lemma B
     needs.  If it reaches the cap eps3(p) + 1, that is eps3(u) (the cap
     exit).  Otherwise the running maximum starts at the larger of that
-    probe and the largest lower bound over the prefix, and stops at the
-    cap.  The lower bound is the ceiling of half the pairwise-distance
-    perimeter.  The prefix pairs whose upper bound still beats it are
+    probe and the largest lower bound over the kept pairs, and stops at
+    the cap.  The lower bound is the ceiling of half the pairwise-distance
+    perimeter; it never exceeds the landmark bound, so no pair left out
+    holds a larger one.  The kept pairs whose upper bound still beats it are
     evaluated exactly in blocks of _BLOCK, highest lower bound first,
     and filtered again after each raise.
     pair_evaluations counts each probe and every pair of every
@@ -265,48 +312,67 @@ def eps3_pruned(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
     if len(order) < n:
         raise ConnectivityError("eps3_pruned requires a connected graph")
     ends, hubs = _pair_ends_and_hubs(g)
-    # distances are below n, so int32 sums cannot overflow; they run ~20%
-    # faster than int64
-    d32 = d.astype(np.int32)
-    dh = d32[:, hubs]
-    iu, iw = np.take(ends, np.triu_indices(len(ends)))
+    # no sum below exceeds 3 diam + 1 (lb's numerator), nor -reach 2 diam
+    diam = int(ecc.max())
+    t = _sum_dtype(3 * diam + 1)
+    dn, ecc = d.astype(t), ecc.astype(t)
+    dh = dn[:, hubs]
+    # the landmarks: the least-eccentric hubs, the smallest ids among ties
+    marks = np.take(hubs, np.argsort(ecc[hubs], kind="stable")[:_LANDMARKS])
+    dm = dn[marks]
+    # indexing row by row: np.take with the (2, P) index array took 1.2
+    # against 0.2 ms for 30k pairs
+    ends = np.array(ends)
+    iu, iw = (ends[i] for i in np.triu_indices(len(ends)))
     # the pairs by reach (lemma C), highest first, as an ascending key.
-    # reach <= 2(n - 1); numpy sorts an int16 key stably by radix, 0.5
+    # numpy sorts an integer key of 16 bits or fewer stably by radix, 0.5
     # against 3.0 ms for an int32 key on 30k pairs, and a stable sort
     # keeps the pair order, and so pair_evaluations, the same everywhere
-    dvw = d32[iu, iw]
-    reach = dvw + np.minimum(ecc[iu], ecc[iw])
-    key = np.negative(reach, dtype=np.int16 if 2 * (n - 1) < 1 << 15 else np.int32)
+    dvw = dn[iu, iw]
+    key = np.negative(dvw + np.minimum(ecc[iu], ecc[iw]))
     by_reach = np.argsort(key, kind="stable")
     iu, iw, dvw, key = iu[by_reach], iw[by_reach], dvw[by_reach], key[by_reach]
-    # stops[b + 1] counts the pairs with reach > b, b = -1 .. 2(n - 1), and
-    # is at least one, so that lb below is never empty.  best is a pair's
-    # exact value or lower bound, never above its reach, so b = best fits
-    stops = np.maximum(key.searchsorted(-np.arange(-1, 2 * n - 1, dtype=key.dtype)), 1).tolist()
+    # gm[i] = d(h, v) + d(h, w) over the pairs for landmark h = marks[i].
+    # np.take keeps C order, where dm[:, iu] is F-ordered: the landmark
+    # bound over 13k pairs took 9 us on C order against 670 us on F order
+    gm = np.take(dm, iu, axis=1) + np.take(dm, iw, axis=1)
+    # stops[b + 1] counts the pairs with reach > b, b = -1 .. 2 diam.  best
+    # is a pair's exact value or lower bound, never above its reach, so
+    # b = best fits
+    stops = key.searchsorted(-np.arange(-1, 2 * diam + 1, dtype=t)).tolist()
     eps = [0] * n
     # per vertex, the index into (iu, iw) of one pair whose exact value is eps[u]
     arg = [0] * n
     evals = 0
     for u in order:
-        du, dhu = d32[u], dh[u]
+        du, dhu = dn[u], dh[u]
         best, cap, k = -1, None, 0
         p = parent[u]
         if p >= 0:
             # the parent's pair, exact at u: >= eps[p] - 1, and at the cap it is eps[u]
             k, cap = arg[p], eps[p] + 1
-            best = int((du + d32[iu[k]] + d32[iw[k]]).min())
+            best = int((du + dn[iu[k]] + dn[iw[k]]).min())
             evals += 1
-        if best != cap:
-            # only the pairs with reach > best can raise best (lemma C)
-            j = stops[best + 1]
-            pv, pw, pvw = du[iu[:j]], du[iw[:j]], dvw[:j]
+        if best == cap:
+            arg[u], eps[u] = k, best
+            continue
+        # only the pairs with reach > best can raise best (lemma C), and of
+        # those only the ones whose landmark bound beats it; d is symmetric,
+        # so dm[:, u] is d(u, h).  A pair with lb > best has ubl >= lb, so
+        # the pairs left out hold none that could raise best
+        j = stops[best + 1]
+        ubl = (dm[:, u, None] + gm[:, :j]).min(axis=0)
+        pairs = np.flatnonzero(ubl > best)
+        if pairs.size:
+            pv, pw, pvw = du[iu[pairs]], du[iw[pairs]], dvw[pairs]
             lb = (pv + pw + pvw + 1) >> 1
-            ub = np.minimum(pv + pw, np.minimum(pv, pw) + pvw)
+            ub = np.minimum(np.minimum(pv + pw, np.minimum(pv, pw) + pvw), ubl[pairs])
             # if best ends at lb.max(), that pair attains it; best >= every
             # tight pair's exact value, so each pair with ub > best has lb < ub
             top = int(lb.argmax())
             if lb[top] > best:
-                best, k = int(lb[top]), top
+                best, k = int(lb[top]), int(pairs[top])
+            # positions into pairs, lb and ub
             cand = np.flatnonzero(ub > best)
             while cand.size and best != cap:
                 if cand.size > _BLOCK:
@@ -315,14 +381,15 @@ def eps3_pruned(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
                 else:
                     blk, cand = cand, cand[:0]
                 evals += blk.size
-                # d is symmetric, so rows stand in for columns
-                vals = np.minimum(ub[blk], (dhu + dh[iu[blk]] + dh[iw[blk]]).min(axis=1))
+                # ub's landmark term bounds F from above too, so the minimum
+                # stays exact; d is symmetric, so rows stand in for columns
+                at = pairs[blk]
+                vals = np.minimum(ub[blk], (dhu + dh[iu[at]] + dh[iw[at]]).min(axis=1))
                 top = int(vals.argmax())
                 if vals[top] > best:
-                    best, k = int(vals[top]), int(blk[top])
+                    best, k = int(vals[top]), int(at[top])
                     cand = cand[ub[cand] > best]
-        arg[u] = k
-        eps[u] = best
+        arg[u], eps[u] = k, best
     return FermatProfile(eps3=tuple(eps), pair_evaluations=evals)
 
 

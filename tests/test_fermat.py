@@ -199,7 +199,10 @@ def _spider(legs, leg_len, ring=0):
     # vertices but a few next to vertex 0 take the cap exit.  A tadpole
     # (one leg on a ring) keeps eps3 level along its tail, so there the
     # parent's pair falls short of the cap and the bound pass runs.
-    [(3, 20, 0), (3, 20, 5), (4, 7, 4), (1, 30, 5), (1, 30, 6)],
+    # A triangle with a tail of 41 has diameter 42, the largest whose
+    # sums fit in int8, and one of 42 takes int16; with a tail of 80,
+    # int8 sums would wrap and give wrong values
+    [(3, 20, 0), (3, 20, 5), (4, 7, 4), (1, 30, 5), (1, 30, 6), (1, 41, 3), (1, 42, 3), (1, 80, 3)],
 )
 def test_pruned_agrees_on_spiders_and_tadpoles(legs, leg_len, ring):
     g = _spider(legs, leg_len, ring)
@@ -307,6 +310,27 @@ def test_pruned_agrees_with_small_blocks(block, monkeypatch):
         g = fe.random_connected(5 + seed % 20, seed=seed, extra_edges=seed % 9)
         d = all_pairs_distances(g)
         assert eps3_pruned(g, d).eps3 == eps3_oracle(g, d).eps3, seed
+
+
+@pytest.mark.parametrize("landmarks", [1, 1000])
+def test_pruned_agrees_with_any_landmark_count(landmarks, monkeypatch):
+    # one landmark gives the loosest bound, and 1000 is above every hub
+    # count here, so all hubs are landmarks; cycles have no hub at all
+    monkeypatch.setattr(fe.fermat, "_LANDMARKS", landmarks)
+    graphs = [fe.random_connected(5 + seed % 30, seed=seed, extra_edges=seed % 9) for seed in range(100)]
+    graphs += [fe.cycle(n) for n in (5, 12, 21, 30)]
+    graphs += [_spider(1, 20, 4), _spider(3, 8, 5), _cored_trees(8, 34, 2)]
+    for g in graphs:
+        d = all_pairs_distances(g)
+        assert eps3_pruned(g, d).eps3 == eps3_oracle(g, d).eps3, fe.to_graph6(g)
+
+
+@pytest.mark.parametrize("top, dtype", [(127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32)])
+def test_sum_dtype_is_the_narrowest_that_holds_top(top, dtype):
+    # top = 3 diam + 1: diameters 42 and 10922 are the last of int8 and
+    # int16.  At diameter 43 no exact sum on a tadpole reaches 128, so only
+    # this test shows a limit that is one too high
+    assert fe.fermat._sum_dtype(top) is dtype
 
 
 @pytest.mark.parametrize("sources", [1, 3])
