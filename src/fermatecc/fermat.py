@@ -3,9 +3,12 @@
 Three interchangeable computation paths:
 
 * eps3_oracle  -- exhaustive brute force over all pairs, the reference.
-                  One numpy broadcast covers a block of source vertices,
-                  or of whole graphs of a stack, as many as fit in
-                  _TABLE entries.
+                  F is symmetric in v and w, so it sums the pairs
+                  v <= w only, each pair's sums d(s,v) + d(s,w) once per
+                  block.  One numpy broadcast covers a block of source
+                  vertices, or of whole graphs of a stack, as many as
+                  fit in _TABLE entries of the narrowest exact integer
+                  type (_sum_dtype).
 * eps3_pruned  -- same values from fewer pairs and fewer candidate Fermat
                   vertices (lemmas A and B below), skipping pairs by
                   exact lower/upper bounds.  Single-threaded: vertices
@@ -21,12 +24,12 @@ Three interchangeable computation paths:
 * eps3_tree    -- O(n) per vertex fast path valid on trees only.
 
 eps3_profile picks by size and class: trees take eps3_tree, other graphs
-with at most _ORACLE_MAX_N vertices take eps3_oracle, whose n^4 sums are
-cheaper there than the pruned path's per-vertex Python work, and larger
-graphs take eps3_pruned.  eps3_stack makes the same choice for a stack
-of graphs with equal n and m.  The tree and oracle kernels work on
-(K, n, n) distance stacks; eps3_tree and eps3_oracle run them on a
-stack of one.
+with at most _ORACLE_MAX_N vertices take eps3_oracle, whose n^2 (n+1)/2
+sums are cheaper there than the pruned path's per-vertex Python work,
+and larger graphs take eps3_pruned.  eps3_stack makes the same choice
+for a stack of graphs with equal n and m.  The tree and oracle kernels
+work on (K, n, n) distance stacks; eps3_tree and eps3_oracle run them
+on a stack of one.
 
 The eccentricity of u maximises the Fermat distance of {u, v, w} over all
 ordered pairs (v, w) in V x V, repeats included (the literal definition).
@@ -108,66 +111,75 @@ def fermat_vertices(d: np.ndarray, u: int, v: int, w: int) -> tuple[int, ...]:
     return tuple(int(s) for s in np.flatnonzero(sums == best))
 
 
-# Entries in one oracle broadcast table (int32, 1 MB).  Each source
-# vertex takes n^3 entries, and a block holds as many sources as fit, at
-# least one: all n sources up to n = 22, and one source from n = 64 on.
-# On a stack, a block holds as many whole graphs (n^4 entries each) as
+# Entries in one oracle broadcast table, of the oracle's sum type (int8
+# up to diameter 42: 256 KB).  With P = n(n+1)/2 pairs, each source
+# vertex takes n P entries, and a block holds as many sources as fit, at
+# least one: all n sources up to n = 26, and one source from n = 64 on.
+# On a stack, a block holds as many whole graphs (n^2 P entries each) as
 # fit.  The sweeps cut each level into chunks of at most _TABLE // n^2
-# graphs, so a chunk's int32 distance stack is no larger than a table.
-# On random non-tree graphs (2-vCPU Xeon VM, 4 MB L2) budgets of 2^16
-# to 2^22 entries ran within noise of each other for n <= 20, and 2^18
-# was the fastest or level with it at every n from 9 to 100; 2^22 was
-# 10-20% slower from n = 40 on.
+# graphs, so a chunk's distance stack has no more entries than a table.
+# On stacks of unicyclic or bicyclic graphs with n = 9 and 12 and of
+# random graphs with 2 chords and n = 20 and 28 (2-vCPU Xeon VM, best
+# of 5), budgets of 2^18 to 2^20 entries ran within 6% of each other;
+# 2^16 took up to 1.3x the time of 2^18 and 2^22 up to 1.17x.
 _TABLE = 1 << 18
 
-# eps3_profile sends non-tree graphs up to this size to the oracle.  On
-# random non-tree graphs with 1, 2 or 5 chords (same VM, supplied d, 150
-# per size, best of 7 interleaved rounds) eps3_pruned took 4.8-5.2x the
-# oracle's time per graph at n = 12 (0.09 against 0.43-0.46 ms), 1.8-2.1x
-# at n = 20 and 1.4-1.5x at n = 22; the two were level at n = 24
-# (0.93-1.21x), and from n = 26 on eps3_pruned was faster (0.75-0.86x at
-# n = 26, 0.62-0.80x at n = 28).  Neither the pair ends and hubs (lemmas
-# A and B), the reach prefix and the centre root (lemma C), nor the
-# landmark bound and the narrow distance type moved the crossover: at
-# these sizes the per-vertex Python work, not the pair count, sets the
-# pruned time.
-_ORACLE_MAX_N = 20
+# eps3_profile and eps3_stack send non-tree graphs up to this size to the
+# oracle.  On random graphs with 1-5 chords (same VM, supplied d, 30
+# graphs per size, best of 7-9 interleaved rounds) the oracle took 0.36x
+# eps3_pruned's time per graph at n = 20, 0.44-0.48x at n = 24, 0.66-0.73x
+# at n = 28, 0.79-0.82x at n = 30, 0.93-0.94x at n = 32 and 1.11x at
+# n = 34; on stacks of 60 graphs with equal n and m it took 0.19x at
+# n = 20, 0.57x at n = 28, 0.83x at n = 32 and 1.21x at n = 36.  Denser
+# graphs (n/4 or n chords) and tadpoles favour the oracle more, 0.29-0.75x
+# at n = 24-34, as the oracle's time depends on n alone.  28 keeps a
+# margin below the sparse graphs' crossover at about 33: at these sizes
+# the pruned kernel's per-vertex Python work, not its pair count, sets its
+# time.
+_ORACLE_MAX_N = 28
 
 
 def _oracle_eps3(d: np.ndarray, witnesses: bool = False):
     """Exhaustive eps3 of each graph in a (K, n, n) distance stack.
 
-    Each numpy call sums one block of d[s, u] + d[s, v] + d[s, w] over
-    every s and takes the minimum: whole graphs, all n sources each,
-    as many as fit in _TABLE entries (n^4 per graph), or, where one
-    graph does not fit, a block of sources of one graph (n^3 each, at
-    least one source).  Returns eps3 as a (K, n) array and, with
-    witnesses, the row-major index v * n + w of the first maximising
-    pair of each vertex, else None.
+    F is symmetric in v and w, so the pairs are v <= w only, P = n(n+1)/2
+    of them in row-major order.  The pair sums pw[s, p] = d[s, v] +
+    d[s, w] are taken once per block, and each numpy call then takes
+    min_s (d[s, u] + pw[s, p]): whole graphs, all n sources each, as many
+    as fit in _TABLE entries (n^2 P per graph), or, where one graph does
+    not fit, a block of sources of one graph (n P each, at least one
+    source).  No sum exceeds 3 diam, so every entry is held in the
+    narrowest signed integer type that fits it (_sum_dtype).  Returns
+    eps3 as a (K, n) array and, with witnesses, the row-major index
+    v * n + w of the first maximising ordered pair of each vertex, else
+    None: that pair has v <= w, since its mirror maximises too.
     """
     k_all, n = d.shape[:2]
-    d32 = d.astype(np.int32, copy=False)
+    iv, iw = np.triu_indices(n)
+    pairs = iv.size
+    dt = d.astype(_sum_dtype(3 * int(d.max())))
     eps = np.empty((k_all, n), dtype=np.int64)
     arg = np.empty((k_all, n), dtype=np.intp) if witnesses else None
-    per_table = _TABLE // n**4
+    per_table = _TABLE // (n * n * pairs)
     if per_table:
-        blocks = [(slice(k, k + per_table), np.arange(n)) for k in range(0, k_all, per_table)]
+        blocks = [(slice(k, k + per_table), [slice(None)]) for k in range(0, k_all, per_table)]
     else:
-        step = max(1, _TABLE // n**3)
-        blocks = [
-            (slice(k, k + 1), np.arange(start, min(start + step, n)))
-            for k in range(k_all)
-            for start in range(0, n, step)
-        ]
-    for ks, us in blocks:
-        dk = d32[ks]
-        # f[k, i, v, w] = min_s (d[s,us[i]] + d[s,v] + d[s,w]) of graph k
-        f = (dk[:, :, us, None, None] + dk[:, :, None, :, None] + dk[:, :, None, None, :]).min(axis=1)
-        f = f.reshape(f.shape[0], us.size, n * n)
-        eps[ks, us] = f.max(axis=2)
-        if witnesses:
-            # argmax takes the first maximum: row-major, so the lexicographic min
-            arg[ks, us] = f.argmax(axis=2)
+        step = max(1, _TABLE // (n * pairs))
+        sources = [slice(start, start + step) for start in range(0, n, step)]
+        blocks = [(slice(k, k + 1), sources) for k in range(k_all)]
+    for ks, source_blocks in blocks:
+        dk = dt[ks]
+        pw = dk[:, :, iv]  # pw[k, s, p] = d[s, iv[p]] + d[s, iw[p]]
+        pw += dk[:, :, iw]
+        for us in source_blocks:
+            # f[k, i, p] = min_s (d[s, u_i] + pw[k, s, p]) of graph k
+            f = (dk[:, :, us, None] + pw[:, :, None, :]).min(axis=1)
+            eps[ks, us] = f.max(axis=2)
+            if witnesses:
+                # argmax takes the first maximum; the pairs are in row-major
+                # order, so it is the lexicographic min
+                a = f.argmax(axis=2)
+                arg[ks, us] = iv[a] * n + iw[a]
     return eps, arg
 
 
@@ -178,7 +190,8 @@ def eps3_oracle(
 ) -> FermatProfile:
     """Exhaustive reference computation of all Fermat eccentricities.
 
-    No pruning: for each u the maximum runs over every pair (v, w), for a
+    No pruning: for each u the maximum runs over every pair v <= w,
+    which covers every ordered pair as F is symmetric in v and w, for a
     block of vertices u per numpy call, as many as fit in _TABLE entries.
     Witnesses, when requested, pick the lexicographically smallest
     maximising (v, w) and then the smallest minimising Fermat vertex.
@@ -229,7 +242,8 @@ def _sum_dtype(top: int) -> type:
     """The narrowest signed integer type that holds every value in 0..top.
 
     eps3_pruned sums at most three distances plus one, so top = 3 diam + 1
-    picks int8 up to diameter 42 and int16 up to diameter 10922.
+    picks int8 up to diameter 42 and int16 up to diameter 10922; the
+    oracle sums three distances, top = 3 diam, with the same limits.
     """
     for t in (np.int8, np.int16):
         if top <= np.iinfo(t).max:

@@ -267,11 +267,11 @@ def _cored_trees(k, n, seed):
 
 def _above_cutoff():
     """Graphs above the oracle's size limit that shrink each axis of eps3_pruned."""
-    for ring, tail in [(3, 18), (4, 25), (5, 31), (8, 32)]:
+    for ring, tail in [(3, 26), (4, 25), (5, 31), (8, 32)]:
         yield pytest.param(_spider(1, tail, ring), id=f"tadpole-{ring}-{tail}")
-    for n in (21, 28, 33, 40):
+    for n in (29, 30, 33, 40):
         yield pytest.param(fe.cycle(n), id=f"cycle-{n}")  # no hub at all
-    for seed, (k, n) in enumerate([(6, 21), (8, 30), (10, 40), (7, 36)]):
+    for seed, (k, n) in enumerate([(6, 29), (8, 30), (10, 40), (7, 36)]):
         yield pytest.param(_cored_trees(k, n, seed), id=f"cored-{k}-{n}")
 
 
@@ -336,30 +336,85 @@ def test_sum_dtype_is_the_narrowest_that_holds_top(top, dtype):
 @pytest.mark.parametrize("sources", [1, 3])
 def test_oracle_agrees_with_small_source_blocks(sources, monkeypatch):
     # values and witnesses must not depend on how the sources are blocked;
-    # a table of k * n^3 entries holds k sources
+    # with P = n(n+1)/2 pairs, a table of n^2 P entries holds one whole
+    # graph and one of k * n P entries holds k sources
     graphs = [fe.random_connected(2 + seed % 19, seed=seed, extra_edges=seed % 5) for seed in range(40)]
     graphs += [fe.path(2), fe.random_tree(17, seed=1)]
     for g in graphs:
-        monkeypatch.setattr(fe.fermat, "_TABLE", g.n**4)
+        pairs = g.n * (g.n + 1) // 2
+        monkeypatch.setattr(fe.fermat, "_TABLE", g.n**2 * pairs)
         whole = eps3_oracle(g, witnesses=True)  # one block
-        monkeypatch.setattr(fe.fermat, "_TABLE", sources * g.n**3)
+        monkeypatch.setattr(fe.fermat, "_TABLE", sources * g.n * pairs)
         assert eps3_oracle(g, witnesses=True) == whole, fe.to_graph6(g)
+
+
+def test_oracle_stack_blocks_agree_with_single_graphs(monkeypatch):
+    # five graphs with equal n and m, two whole graphs per block: blocks of
+    # 2, 2 and 1 must give each graph's own values and witnesses
+    graphs = [fe.random_connected(9, seed=seed, extra_edges=3) for seed in range(5)]
+    d = np.stack([all_pairs_distances(g) for g in graphs])
+    singles = [fe.fermat._oracle_eps3(dg[None], witnesses=True) for dg in d]
+    monkeypatch.setattr(fe.fermat, "_TABLE", 2 * 9**2 * (9 * 10 // 2))
+    eps, arg = fe.fermat._oracle_eps3(d, witnesses=True)
+    assert eps.tolist() == [e[0].tolist() for e, _ in singles]
+    assert arg.tolist() == [a[0].tolist() for _, a in singles]
+
+
+def _brute_force_profile(g):
+    """eps3 and witnesses from one fermat_distance call per ordered triple."""
+    d = all_pairs_distances(g)
+    rows = d.tolist()
+    eps, witnesses = [], []
+    for u in range(g.n):
+        best, pair = -1, None
+        for v in range(g.n):
+            for w in range(g.n):
+                f = fermat_distance(d, u, v, w)
+                if f > best:  # strictly: the first maximising pair is the least
+                    best, pair = f, (v, w)
+        v, w = pair
+        s = next(s for s in range(g.n) if rows[s][u] + rows[s][v] + rows[s][w] == best)
+        eps.append(best)
+        witnesses.append(fe.FermatWitness(pair=pair, fermat_vertex=s, value=best))
+    return fe.FermatProfile(eps3=tuple(eps), witnesses=tuple(witnesses))
+
+
+_BRUTE_FORCE_CASES = {
+    # every class with n <= 7, where ties between pairs are common
+    "unicyclic": lambda: fe.enumerate_unicyclic(7),
+    "bicyclic": lambda: fe.enumerate_bicyclic(7),
+    # diameters 42 and 43: the oracle's last int8 sums (3 * 42 <= 127) and
+    # its first int16 ones.  On the 44-vertex path int8 would wrap only
+    # sums of triples that maximise nothing, so the type's limit itself is
+    # pinned by test_sum_dtype_is_the_narrowest_that_holds_top
+    "path-43": lambda: [fe.path(43)],
+    "path-44": lambda: [fe.path(44)],
+}
+
+
+@pytest.mark.parametrize("case", list(_BRUTE_FORCE_CASES))
+def test_oracle_matches_per_triple_brute_force(case):
+    for g in _BRUTE_FORCE_CASES[case]():
+        assert eps3_oracle(g, witnesses=True) == _brute_force_profile(g), fe.to_graph6(g)
 
 
 @pytest.mark.parametrize("n", [40, 100])
 def test_oracle_table_stays_within_budget(n):
-    # a block of 16 sources would take 16 * n^3 int32 entries (4 MB at
-    # n = 40, 64 MB at n = 100); the block shrinks to fit _TABLE, and to
-    # one source's n^3 entries where even one does not fit
+    # with P = n(n+1)/2 pairs, a block of 16 sources would take 16 n P
+    # entries (0.5 MB at n = 40, 8 MB at n = 100 in int8); the block
+    # shrinks to fit _TABLE, and to one source's n P entries where even
+    # one does not fit.  The table sits beside the pair sums, n P entries
+    # per graph, and the pair index arrays
     g = fe.random_connected(n, seed=n, extra_edges=4)
     d = all_pairs_distances(g)
+    itemsize = np.dtype(fe.fermat._sum_dtype(3 * int(d.max()))).itemsize
     tracemalloc.start()
     try:
         eps3_oracle(g, d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 4 * max(fe.fermat._TABLE, n**3)
+    assert peak < 3 * itemsize * max(fe.fermat._TABLE, n * n * (n + 1) // 2)
 
 
 def test_pruned_tiny_graphs():
