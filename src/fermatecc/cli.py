@@ -33,8 +33,8 @@ CSV_COLUMNS = "name,n,m,class,f1,f2,e1,e2,z1,z2,comparison"
 
 # largest n a verify sweep enumerates without --force; in-process, best
 # of 5 on a 2-vCPU VM, `verify tree 2..12` takes 0.027 s, `verify tree
-# 2..13` 0.067 s, `verify unicyclic 3..10` 0.026 s and `verify unicyclic
-# 3..11` 0.073 s
+# 2..13` 0.051 s, `verify unicyclic 3..10` 0.035 s and `verify unicyclic
+# 3..11` 0.082 s
 FREE_TREE_CAP = 12
 UNICYCLIC_CAP = 10
 

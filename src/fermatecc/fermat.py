@@ -71,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConnectivityError, PreconditionError
-from .graph import Graph, all_pairs_distances, bfs_tree, eccentricities, is_connected
+from .graph import Graph, all_pairs_distances, bfs_tree, eccentricities, is_connected, row_graph
 
 
 @dataclass(frozen=True)
@@ -431,18 +431,21 @@ def eps3_tree(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
     return FermatProfile(eps3=tuple(_tree_eps3(d[None])[0].tolist()))
 
 
-def eps3_stack(graphs, d: np.ndarray) -> np.ndarray:
-    """eps3 of K connected graphs with equal n and m, as a (K, n) array.
+def eps3_stack(edges: np.ndarray, d: np.ndarray, graphs=None) -> np.ndarray:
+    """eps3 of the K connected graphs of a (K, m, 2) edge stack, as a (K, n) array.
 
     d is their (K, n, n) distance stack.  The path is eps3_profile's:
     the tree kernel on trees, the oracle's min-sums up to _ORACLE_MAX_N
-    vertices and eps3_pruned, graph by graph, above.
+    vertices and eps3_pruned, graph by graph, above, on graphs or, where
+    None, on a Graph built from each row.
     """
-    n, m = graphs[0].n, graphs[0].m
-    if m == n - 1:
+    n = d.shape[1]
+    if edges.shape[1] == n - 1:
         return _tree_eps3(d)
     if n <= _ORACLE_MAX_N:
         return _oracle_eps3(d)[0]
+    if graphs is None:
+        graphs = [row_graph(row, n) for row in edges]
     return np.array([eps3_pruned(g, dg).eps3 for g, dg in zip(graphs, d)], dtype=np.int64)
 
 

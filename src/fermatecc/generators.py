@@ -1,16 +1,25 @@
 """Graph families, random generators, exhaustive enumerators, formulas.
 
 Each enumerator streams one graph per isomorphism class on every vertex
-count up to max_n, in increasing n, built from one cache of rooted
-trees.  A free tree is planted at its centroid: a forest of small rooted
-trees under one root, or two rooted trees of half its size joined at
-their roots.  Unicyclic and bicyclic classes are built from their 2-core
-(a cycle, a theta or a dumbbell) with a rooted tree hung on each core
+count in a range, in increasing n, built from one cache of rooted trees.
+A free tree is planted at its centroid: a forest of small rooted trees
+under one root, or two rooted trees of half its size joined at their
+roots.  Unicyclic and bicyclic classes are built from their 2-core (a
+cycle, a theta or a dumbbell) with a rooted tree hung on each core
 vertex, one labelling per orbit of the core's automorphism group.  The
 group is found by a backtracking search on the core, and a core is built
 when a level first reaches it.  So each class is produced once and no
-isomorphism key or dedup is needed.  Every graph is built directly,
-without make_graph's checks.
+isomorphism key or dedup is needed.
+
+The stream's own form is (n, edges) chunks, free_tree_chunks and
+cyclic_chunks: edges is a (K, m, 2) int array of at most
+max(1, fermat._TABLE // n^2) classes of one level, each row a graph's
+sorted edge list.  Rooted trees are cached as flat int tuples, already
+shifted to where a branch or a hung tree sits, so a class is a
+concatenation of cached tuples, and a chunk is one flat list turned into
+an array and sorted row by row in numpy.  No Graph is built;
+enumerate_free_trees, enumerate_unicyclic and enumerate_bicyclic turn
+the rows into Graphs for callers that want them.
 
 The two closed-form difference quotients for the multicyclic
 counterexample families are evaluated in exact rational arithmetic.
@@ -23,11 +32,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, islice, product
+from operator import itemgetter, sub
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from . import fermat
 from .errors import InternalError, PreconditionError
 from .graph import (
     Graph,
@@ -36,7 +47,9 @@ from .graph import (
     bfs_tree,
     classify,
     eccentricities,
+    edge_stack,
     make_graph,
+    row_graph,
 )
 
 
@@ -226,37 +239,59 @@ def random_connected(n: int, seed: int, extra_edges: int | None = None) -> Graph
 
 # ---------------------------------------------------------------------------
 # enumeration: trees planted at their centroid, cyclic classes as rooted
-# trees hung on a 2-core
-
-
-def _plant(children: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
-    """Edges (parent, child) of the rooted tree whose root 0 has the
-    rooted-tree classes `children` below it, numbered in preorder."""
-    edges, nxt = [], 1
-    for s, i in children:
-        edges.append((0, nxt))
-        edges.extend((p + nxt, c + nxt) for p, c in _rooted_trees(s)[i])
-        nxt += s
-    return edges
+# trees hung on a 2-core, streamed as edge-array chunks
 
 
 @lru_cache(maxsize=None)
-def _rooted_trees(size: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _rooted_trees(size: int) -> tuple[tuple[int, ...], ...]:
     """The rooted trees on size vertices, one per class (A000081).
 
-    Each is its _plant edge list, with the root 0 and the other vertices
-    numbered 1..size-1 in preorder.  Class (s, i) is entry i of size s; a
-    class is its root's multiset of child classes, listed as a
-    nonincreasing tuple of (s, i) keys.  Sizes are built on first use,
-    each from the smaller ones; free trees on n vertices need sizes up
-    to n // 2, the trees hung on a 2-core up to n - 2.
+    Each is a flat edge tuple (p, c, p, c, ...) of (parent, child) pairs,
+    with the root 0 and the other vertices numbered 1..size-1 in
+    preorder.  Class (s, i) is entry i of size s; a class is its root's
+    multiset of child classes, listed as a nonincreasing tuple of (s, i)
+    keys.  Sizes are built on first use, each from the smaller ones; free
+    trees on n vertices need sizes up to n // 2, the trees hung on a
+    2-core up to n - 2.
     """
     # (size, 0) bounds no key of a smaller size
-    return tuple(tuple(_plant(children)) for children in _forests(size - 1, (size, 0)))
+    return tuple(_forests(size - 1, (size, 0), 1))
 
 
-def enumerate_free_trees(max_n: int) -> Iterator[Graph]:
-    """One tree per isomorphism class on 1..max_n vertices, by increasing n.
+@lru_cache(maxsize=None)
+def _branches(size: int, off: int) -> tuple[tuple[int, ...], ...]:
+    """Each rooted tree on size vertices as a branch of the root 0: the
+    edge (0, off) and the tree with its vertices shifted by off."""
+    return tuple((0, off, *(x + off for x in tree)) for tree in _rooted_trees(size))
+
+
+def _forests(total: int, largest: tuple[int, int], off: int) -> Iterator[tuple[int, ...]]:
+    """Flat edge tuples of the forests planted under the root 0, their
+    vertices numbered in preorder from off: nonincreasing tuples of
+    rooted-tree keys, none above largest, with sizes summing to total."""
+    if largest[0] == 1 or total == 0:  # leaves only: one forest
+        yield _leaves(total, off)
+        return
+    for s in range(min(total, largest[0]), 0, -1):
+        branches = _branches(s, off)
+        top = largest[1] if s == largest[0] else len(_rooted_trees(s)) - 1
+        for i in range(top, -1, -1):
+            if s == total:
+                yield branches[i]
+            else:
+                head = branches[i]
+                for rest in _forests(total - s, (s, i), off + s):
+                    yield head + rest
+
+
+@lru_cache(maxsize=None)
+def _leaves(count: int, off: int) -> tuple[int, ...]:
+    """count leaves off..off+count-1 under the root 0, as a flat edge tuple."""
+    return tuple(chain.from_iterable((0, x) for x in range(off, off + count)))
+
+
+def _free_trees(n: int) -> Iterator[tuple[int, ...]]:
+    """One flat edge tuple per tree class on n vertices.
 
     By Jordan's centroid theorem a tree on n vertices either has one
     centroid, a vertex whose branches all have at most (n - 1) // 2
@@ -268,28 +303,14 @@ def enumerate_free_trees(max_n: int) -> Iterator[Graph]:
     Every class comes out once and no dedup runs; a level needs no
     smaller level, only the rooted trees on at most n / 2 vertices.
     """
-    for n in range(1, max_n + 1):
-        h = (n - 1) // 2
-        # for n <= 2 the bound (0, -1) admits no branch
-        for children in _forests(n - 1, (h, len(_rooted_trees(h)) - 1)):
-            yield Graph(n, tuple(sorted(_plant(children))))
-        if n % 2 == 0:
-            h = n // 2
-            halves = _rooted_trees(h)
-            for i, j in combinations_with_replacement(range(len(halves)), 2):
-                yield Graph(n, tuple(sorted([*halves[i], (0, h), *((p + h, c + h) for p, c in halves[j])])))
-
-
-def _forests(total: int, largest: tuple[int, int]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Nonincreasing tuples of rooted-tree keys, none above largest, with sizes summing to total."""
-    if total == 0:
-        yield ()
-        return
-    for s in range(min(total, largest[0]), 0, -1):
-        top = largest[1] if s == largest[0] else len(_rooted_trees(s)) - 1
-        for i in range(top, -1, -1):
-            for rest in _forests(total - s, (s, i)):
-                yield ((s, i),) + rest
+    h = (n - 1) // 2
+    # for n <= 2 the bound (0, -1) admits no branch
+    yield from _forests(n - 1, (h, len(_rooted_trees(h)) - 1), 1)
+    if n % 2 == 0:
+        h = n // 2
+        halves, uppers = _rooted_trees(h), _branches(h, h)
+        for i, j in combinations_with_replacement(range(len(halves)), 2):
+            yield halves[i] + uppers[j]
 
 
 def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -350,8 +371,8 @@ def _cores(cyclomatic: int, max_k: int) -> list[tuple[Graph, list[tuple[int, ...
     return cores
 
 
-def _hang_trees(core: Graph, autos: list[tuple[int, ...]], n: int) -> Iterator[Graph]:
-    """One graph per class with 2-core `core` on n vertices.
+def _hang_trees(core: Graph, autos: list[tuple[int, ...]], n: int) -> Iterator[tuple[int, ...]]:
+    """One flat edge tuple per class with 2-core `core` on n vertices.
 
     A labelling gives core vertex v a rooted tree (s_v, t_v); two
     labellings give isomorphic graphs exactly when an automorphism of the
@@ -362,46 +383,89 @@ def _hang_trees(core: Graph, autos: list[tuple[int, ...]], n: int) -> Iterator[G
     it can lower t.
     """
     k = core.n
+    core_edges = tuple(chain.from_iterable(core.edges))
+    images = [itemgetter(*perm) for perm in autos]  # image(x)[v] = x[perm[v]]
     for cuts in combinations(range(1, n), k - 1):
-        sizes = tuple(b - a for a, b in zip((0, *cuts), (*cuts, n)))
+        sizes = tuple(map(sub, (*cuts, n), (0, *cuts)))
         fixing = []
-        for perm in autos:
-            image = tuple(sizes[x] for x in perm)
-            if image < sizes:
+        for image in images:
+            moved = image(sizes)
+            if moved < sizes:
                 break
-            if image == sizes:
-                fixing.append(perm)
+            if moved == sizes:
+                fixing.append(image)
         else:  # no automorphism lowers the size vector
             # the trees hung on v are numbered from base on, root v itself
             hung, base = [], k
             for v, s in enumerate(sizes):
-                off = base - 1
-                hung.append([[(p + off if p else v, c + off) for p, c in tree] for tree in _rooted_trees(s)])
+                hung.append(_hung(s, v, base - 1))
                 base += s - 1
-            for pick in product(*(range(len(trees)) for trees in hung)):
-                if any(tuple(pick[x] for x in perm) < pick for perm in fixing):
+            picks = product(*[range(len(trees)) for trees in hung])
+            for pick, parts in zip(picks, product(*hung)):
+                if fixing and any(image(pick) < pick for image in fixing):
                     continue
-                edges = list(core.edges)
-                for trees, t in zip(hung, pick):
-                    edges += trees[t]
-                edges.sort()
-                yield Graph(n, tuple(edges))
+                yield core_edges + tuple(chain.from_iterable(parts))
 
 
-def _enumerate_cyclic(cyclomatic: int, max_n: int) -> Iterator[Graph]:
-    for n in range(max_n + 1):
-        for core, autos in _cores(cyclomatic, n):
-            yield from _hang_trees(core, autos, n)
+@lru_cache(maxsize=None)
+def _hung(size: int, v: int, off: int) -> tuple[tuple[int, ...], ...]:
+    """Each rooted tree on size vertices hung on core vertex v: its root
+    is v and its other vertices are shifted by off."""
+    return tuple(tuple(x + off if x else v for x in tree) for tree in _rooted_trees(size))
+
+
+def _chunks(n: int, m: int, flats: Iterator[tuple[int, ...]]) -> Iterator[tuple[int, np.ndarray]]:
+    """The flat edge tuples of one level, graphs on n vertices with m
+    edges, as (n, edges) chunks: edges is a (K, m, 2) array of at most
+    max(1, fermat._TABLE // n^2) graphs, each row's edges (u, v), u < v,
+    in sorted order."""
+    size = max(1, fermat._TABLE // (n * n))
+    while part := list(islice(flats, size)):
+        edges = np.array(list(chain.from_iterable(part)), dtype=np.intp).reshape(len(part), m, 2)
+        # every edge has u < v, so sorting u * n + v sorts the pairs
+        key = edges[..., 0] * n + edges[..., 1]
+        key.sort(axis=1)
+        yield n, np.stack(np.divmod(key, n), axis=-1)
+
+
+def free_tree_chunks(max_n: int, min_n: int = 1) -> Iterator[tuple[int, np.ndarray]]:
+    """One tree per isomorphism class on min_n..max_n vertices, by
+    increasing n, in _chunks.  Level n builds on no smaller level."""
+    for n in range(max(min_n, 1), max_n + 1):
+        yield from _chunks(n, n - 1, _free_trees(n))
+
+
+def cyclic_chunks(cyclomatic: int, max_n: int, min_n: int = 0) -> Iterator[tuple[int, np.ndarray]]:
+    """One connected graph with m = n + cyclomatic - 1 per class on
+    min_n..max_n vertices, by increasing n, in _chunks; cyclomatic is 1 or
+    2.  A level's cores are built when it starts; no core has fewer than
+    cyclomatic + 2 vertices."""
+    for n in range(max(min_n, cyclomatic + 2), max_n + 1):
+        cores = _cores(cyclomatic, n)
+        level = chain.from_iterable(_hang_trees(core, autos, n) for core, autos in cores)
+        yield from _chunks(n, n + cyclomatic - 1, level)
+
+
+def _graphs(chunks: Iterator[tuple[int, np.ndarray]]) -> Iterator[Graph]:
+    for n, edges in chunks:
+        for row in edges.tolist():
+            yield Graph(n, tuple(map(tuple, row)))
+
+
+def enumerate_free_trees(max_n: int) -> Iterator[Graph]:
+    """One tree per isomorphism class on 1..max_n vertices, by increasing n
+    (free_tree_chunks, one Graph per row)."""
+    return _graphs(free_tree_chunks(max_n))
 
 
 def enumerate_unicyclic(max_n: int) -> Iterator[Graph]:
     """One connected graph with m = n per class on 3..max_n vertices, by increasing n."""
-    yield from _enumerate_cyclic(1, max_n)
+    return _graphs(cyclic_chunks(1, max_n))
 
 
 def enumerate_bicyclic(max_n: int) -> Iterator[Graph]:
     """One connected graph with m = n + 1 per class on 4..max_n vertices, by increasing n."""
-    yield from _enumerate_cyclic(2, max_n)
+    return _graphs(cyclic_chunks(2, max_n))
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +542,9 @@ def check_path_rows(t: Graph, d: np.ndarray) -> None:
             raise PreconditionError("d is not the distance matrix of the tree")
 
 
-def decorate_stack(trees, d: np.ndarray) -> DecorationStack:
-    """Decorate each tree of a (K, n, n) distance stack along its double-BFS path.
+def decorate_stack(edges: np.ndarray, d: np.ndarray) -> DecorationStack:
+    """Decorate each tree of a (K, m, 2) edge stack along its double-BFS
+    path, reading every field off the trees' (K, n, n) distance stack d.
 
     With a the first farthest vertex from 0, b the first farthest from a
     and D = d(a, b), vertex v meets the a-b path (d(a, v) + D - d(b, v)) / 2
@@ -513,7 +578,7 @@ def decorate_stack(trees, d: np.ndarray) -> DecorationStack:
             message = f"double BFS path has length {length[k]}, diameter is {diameter[k]}"
         else:
             message = "the diametral path misses a center vertex"
-        _invariant_failed(trees[k], d[k], message)
+        _invariant_failed(row_graph(edges[k], n), d[k], message)
     return DecorationStack(
         path=path,
         length=length,
@@ -533,7 +598,7 @@ def decorate_tree(t: Graph, d: np.ndarray | None = None) -> TreeDecoration:
         d = all_pairs_distances(t)
     else:
         check_path_rows(t, d)
-    return decorate_stack([t], d[None]).decoration(0)
+    return decorate_stack(edge_stack([t]), d[None]).decoration(0)
 
 
 def _invariant_failed(t: Graph, d: np.ndarray, message: str) -> None:

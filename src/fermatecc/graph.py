@@ -187,13 +187,29 @@ def from_graph6(line: str | bytes, strict: bool = True) -> Graph:
 
 
 def to_graph6(g: Graph) -> str:
-    """graph6 string of g, without header or newline."""
-    nbits = g.n * (g.n - 1) // 2
-    body = [0] * ((nbits + 5) // 6)
-    for i, j in g.edges:
-        k = j * (j - 1) // 2 + i
-        body[k // 6] |= 32 >> k % 6
-    return bytes(x + 63 for x in _graph6_size(g.n) + body).decode("ascii")
+    """graph6 string of g, without header or newline (graph6_stack on a stack of one)."""
+    return graph6_stack(edge_stack([g]), g.n)[0]
+
+
+def graph6_stack(edges: np.ndarray, n: int) -> list[str]:
+    """graph6 strings of the K graphs of a (K, m, 2) edge stack on n
+    vertices, each edge (u, v) with u < v."""
+    k = len(edges)
+    if not k:
+        return []
+    width = (n * (n - 1) // 2 + 5) // 6
+    u, v = edges[..., 0], edges[..., 1]
+    bit = v * (v - 1) // 2 + u  # the pair's position in column order
+    # each bit is set once, so summing the bits of a six-bit unit ORs them
+    unit = (np.arange(k) * width)[:, None] + bit // 6
+    body = np.bincount(unit.ravel(), weights=(32 >> bit % 6).ravel(), minlength=k * width)
+    head = _graph6_size(n)
+    rows = np.empty((k, len(head) + width), dtype=np.uint8)
+    rows[:, : len(head)] = head
+    rows[:, len(head) :] = body.reshape(k, width)
+    rows += 63
+    text, step = rows.tobytes().decode("ascii"), rows.shape[1]
+    return [text[i : i + step] for i in range(0, k * step, step)]
 
 
 def bfs_tree(g: Graph, root: int = 0) -> tuple[list[int], list[int]]:
@@ -226,6 +242,11 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
 def edge_stack(graphs) -> np.ndarray:
     """(K, m, 2) array of the sorted edge lists of K graphs with equal m."""
     return np.array([g.edges for g in graphs], dtype=np.intp).reshape(len(graphs), -1, 2)
+
+
+def row_graph(row: np.ndarray, n: int) -> Graph:
+    """The Graph of one (m, 2) row of an edge stack, its edges in sorted order."""
+    return Graph(n, tuple(map(tuple, row.tolist())))
 
 
 # one bit per BFS source, 64 sources to a word; the byte order is fixed so
@@ -327,13 +348,14 @@ def classify(g: Graph) -> GraphClass:
     cyc = g.m - g.n + 1
     if cyc < 0:
         raise ConnectivityError("classify requires a connected graph")
-    if cyc == 0:
-        kind = GraphKind.TREE
-    elif cyc == 1:
-        kind = GraphKind.UNICYCLIC
-    else:
-        kind = GraphKind.MULTICYCLIC
-    return GraphClass(kind=kind, cyclomatic=cyc)
+    return GraphClass(kind=cyclomatic_kind(cyc), cyclomatic=cyc)
+
+
+def cyclomatic_kind(cyclomatic: int) -> GraphKind:
+    """The class of a connected graph with this cyclomatic number."""
+    if cyclomatic == 0:
+        return GraphKind.TREE
+    return GraphKind.UNICYCLIC if cyclomatic == 1 else GraphKind.MULTICYCLIC
 
 
 @dataclass(frozen=True)

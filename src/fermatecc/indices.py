@@ -1,14 +1,16 @@
 """The six indices and the exact cross-multiplied average comparison.
 
 F1/F2 use Fermat eccentricities, E1/E2 ordinary eccentricities, Z1/Z2
-vertex degrees.  index_stack computes all six for a stack of graphs with
-equal n and m in one set of array reductions: eps3 by the fermat stack
-kernels, eccentricities as row maxima of the distance stack, degrees and
-edge sums by indexing a (K, m, 2) edge array, from which the distance
-stack itself comes when none is supplied.  index_chunks feeds any graph
-stream to it in chunks that fit one fermat table, so each list the
-package analyses (sweep levels, search streams, witness files) is held a
-chunk at a time; full_report and the zagreb_* functions run the same
+vertex degrees.  index_stack computes all six for a (K, m, 2) edge stack
+of graphs with equal n and m in one set of array reductions: eps3 by the
+fermat stack kernels, eccentricities as row maxima of the distance
+stack, degrees and edge sums by indexing the edge stack, from which the
+distance stack itself comes when none is supplied.  The sweeps and
+search exhaustive-small hand it the enumerators' edge-array chunks
+directly; index_chunks cuts any other Graph stream (the family grid,
+witness files) into chunks of the same size, at most fermat._TABLE
+distance entries each, so each list the package analyses is held a
+chunk at a time.  full_report and the zagreb_* functions run the same
 code on a stack of one.  The comparison of F2/m against F1/n is decided
 by the sign of the integer n*F2 - m*F1, in Python ints, never floats.
 """
@@ -29,7 +31,7 @@ from .graph import (
     Graph,
     GraphKind,
     all_pairs_distances,
-    classify,
+    cyclomatic_kind,
     degree_stack,
     distance_stack,
     eccentricities,
@@ -135,25 +137,28 @@ class IndexStack(NamedTuple):
         )
 
 
-def index_stack(graphs, d: np.ndarray | None) -> IndexStack:
-    """All six indices and the comparison of K connected graphs with equal
-    n and m, from their (K, n, n) distance stack d.  With d None the
-    distances come from distance_stack on the same edge stack."""
-    g = graphs[0]
-    if g.m == 0:
+def index_stack(
+    edges: np.ndarray, n: int, d: np.ndarray | None = None, graphs=None
+) -> IndexStack:
+    """All six indices and the comparison of the K connected graphs of a
+    (K, m, 2) edge stack on n vertices, from their (K, n, n) distance
+    stack d.  With d None the distances come from distance_stack on the
+    same edge stack.  graphs, the stack's Graphs if the caller has them,
+    spares eps3_stack building them from the rows."""
+    m = edges.shape[1]
+    if m == 0:
         raise PreconditionError("the comparison needs at least one edge")
-    edges = edge_stack(graphs)
     if d is None:
-        d = distance_stack(edges, g.n)
-    eps = eps3_stack(graphs, d)
-    degree = degree_stack(edges, g.n)
+        d = distance_stack(edges, n)
+    eps = eps3_stack(edges, d, graphs)
+    degree = degree_stack(edges, n)
     f1, f2 = _zagreb(eps, edges)
     e1, e2 = _zagreb(eccentricities(d), edges)
     z1, z2 = _zagreb(degree, edges)
     return IndexStack(
-        n=g.n,
-        m=g.m,
-        kind=classify(g).kind,
+        n=n,
+        m=m,
+        kind=cyclomatic_kind(m - n + 1),
         edges=edges,
         d=d,
         eps3=eps,
@@ -165,19 +170,20 @@ def index_stack(graphs, d: np.ndarray | None) -> IndexStack:
         z1=z1,
         z2=z2,
         comparisons=tuple(
-            compare_averages(g.n, g.m, a, b) for a, b in zip(f1.tolist(), f2.tolist())
+            compare_averages(n, m, a, b) for a, b in zip(f1.tolist(), f2.tolist())
         ),
     )
 
 
 def index_chunks(graphs) -> Iterator[tuple[list[Graph], IndexStack]]:
-    """A stream's graphs in order as (chunk, its IndexStack): each run of
-    equal (n, m) cut into chunks whose (K, n, n) distance stack holds at
-    most fermat._TABLE entries (at least one graph)."""
+    """index_stack over a stream of Graphs, in order, as (chunk, its
+    IndexStack): each run of equal (n, m) cut into chunks whose (K, n, n)
+    distance stack holds at most fermat._TABLE entries (at least one
+    graph), the cut the enumerators' edge-array chunks make."""
     for (n, _), run in groupby(graphs, key=lambda g: (g.n, g.m)):
         size = max(1, fermat._TABLE // (n * n))
         for chunk in iter(lambda: list(islice(run, size)), []):
-            yield chunk, index_stack(chunk, None)
+            yield chunk, index_stack(edge_stack(chunk), n, None, chunk)
 
 
 def full_report(g: Graph, d: np.ndarray | None = None) -> IndexReport:
@@ -188,4 +194,4 @@ def full_report(g: Graph, d: np.ndarray | None = None) -> IndexReport:
         d = all_pairs_distances(g)
     elif not is_connected(g):  # all_pairs_distances checks it otherwise
         raise ConnectivityError("full_report requires a connected graph")
-    return index_stack([g], d[None]).report(0)
+    return index_stack(edge_stack([g]), g.n, d[None], [g]).report(0)

@@ -1,11 +1,12 @@
 """Mechanical checks of the structural lemmas and comparison theorems.
 
 Each lemma is stated once, as a mask over a stack of K graphs with equal
-n and m: edge-Lipschitz, the main inequality with its path
-characterisation, the eccentric analogue and the diametral-path lemmas.
-A lemma function returns every graph's failure flag and a formatter of
-one graph's problems.  Sweeps take the enumerator's stream one level at
-a time, through indices.index_chunks: each chunk's distance stack from
+n and m: edge-Lipschitz, the main inequality with its equality case
+(the paths among trees, constant eps3 on unicyclic graphs), the
+eccentric analogue and the diametral-path lemmas.  A lemma function
+returns every graph's failure flag and a formatter of one graph's
+problems.  Sweeps take the enumerator's edge-array chunks one level at
+a time, through indices.index_stack: each chunk's distance stack from
 one bit-parallel BFS over all its graphs, then the indices and every
 lemma as array reductions over the chunk, so a level is never held
 whole.  The per-graph check_* functions run the same lemma functions on
@@ -14,16 +15,19 @@ a stack of one, so their details are the sweep's, byte for byte.
 A failing CheckOutcome names its instance as a graph6 string (or, for
 the cyclic-sequence lemma, the sequence), so any failure can be
 re-checked standalone; a passing one has instance "".  Only reported
-graphs are encoded.  The counterexample search hunts multicyclic graphs
-on both sides of the comparison inequality; all but random-walk, whose
-next graph depends on the last one, analyse their streams in the same chunks.
+graphs are encoded, straight from their edge rows.  The counterexample
+search hunts multicyclic graphs on both sides of the comparison
+inequality; all but random-walk, whose next graph depends on the last
+one, analyse their streams in the same chunks.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import groupby, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -32,12 +36,11 @@ from .fermat import eps3_profile, eps3_tree
 from .generators import (  # decorate_tree: perfbench's tracer looks the name up here
     DecorationStack,
     check_path_rows,
+    cyclic_chunks,
     decorate_stack,
     decorate_tree,  # noqa: F401
     dumbbell,
-    enumerate_bicyclic,
-    enumerate_free_trees,
-    enumerate_unicyclic,
+    free_tree_chunks,
     random_connected,
     theta,
     two_cycles_with_tail,
@@ -50,11 +53,12 @@ from .graph import (
     degree_stack,
     edge_ends,
     edge_stack,
+    graph6_stack,
     is_connected,
     make_graph,
     to_graph6,
 )
-from .indices import Comparison, IndexStack, full_report, index_chunks
+from .indices import Comparison, IndexStack, full_report, index_chunks, index_stack
 
 
 @dataclass(frozen=True)
@@ -114,11 +118,16 @@ def _is_path(degree: np.ndarray) -> np.ndarray:
     return (degree.max(axis=1) <= 2) & ((degree == 1).sum(axis=1) == 2)
 
 
-def _main_inequality(kind: GraphKind, comparisons, f1, f2, is_path: np.ndarray):
-    """n*F2 <= m*F1; on trees, equality exactly when the tree is a path."""
+def _main_inequality(kind: GraphKind, comparisons, f1, f2, degree: np.ndarray, eps: np.ndarray):
+    """n*F2 <= m*F1, with equality exactly on the paths among trees and
+    exactly where eps3 is constant on other graphs."""
     positive = np.array([c is Comparison.POSITIVE for c in comparisons])
     zero = np.array([c is Comparison.ZERO for c in comparisons])
-    mismatch = (zero != is_path) & (kind is GraphKind.TREE)
+    if kind is GraphKind.TREE:
+        name, equal = "is_path", _is_path(degree)
+    else:
+        name, equal = "eps3_constant", (eps == eps[:, :1]).all(axis=1)
+    mismatch = zero != equal
 
     def problems(k: int) -> list[str]:
         out = []
@@ -127,7 +136,7 @@ def _main_inequality(kind: GraphKind, comparisons, f1, f2, is_path: np.ndarray):
         if mismatch[k]:
             out.append(
                 f"equality characterization: comparison={comparisons[k].value}, "
-                f"is_path={bool(is_path[k])}"
+                f"{name}={bool(equal[k])}"
             )
         return out
 
@@ -229,7 +238,7 @@ def check_diametrical_lemmas(t: Graph, d: np.ndarray | None = None, eps3=None) -
     if eps3 is None:
         eps3 = eps3_tree(t, d).eps3
     eps = np.array(eps3, dtype=np.int64).reshape(1, t.n)
-    lemma = _diametral_lemmas(d[None], eps, decorate_stack([t], d[None]))
+    lemma = _diametral_lemmas(d[None], eps, decorate_stack(edge_stack([t]), d[None]))
     return _single("diametrical_lemmas", t, lemma)
 
 
@@ -257,17 +266,18 @@ def is_path_graph(g: Graph) -> bool:
 
 
 def verify_main_inequality(g: Graph, report=None) -> CheckOutcome:
-    """n*F2 <= m*F1 on trees/unicyclic graphs; trees additionally must hit
-    equality exactly when the tree is a path.  Multicyclic inputs only
-    have their sign recorded."""
+    """n*F2 <= m*F1 on trees/unicyclic graphs, with equality exactly when
+    a tree is a path and when a unicyclic graph's eps3 is constant.
+    Multicyclic inputs only have their sign recorded."""
     if report is None:
         report = full_report(g)
     if report.kind is GraphKind.MULTICYCLIC:
         return CheckOutcome(
             "main_inequality", "", True, f"multicyclic, sign recorded: {report.comparison.value}"
         )
-    is_path = _is_path(degree_stack(edge_stack([g]), g.n))
-    lemma = _main_inequality(report.kind, [report.comparison], [report.f1], [report.f2], is_path)
+    degree = degree_stack(edge_stack([g]), g.n)
+    eps = np.array([report.eps3])
+    lemma = _main_inequality(report.kind, [report.comparison], [report.f1], [report.f2], degree, eps)
     return _single("main_inequality", g, lemma)
 
 
@@ -283,46 +293,52 @@ def check_eccentric_analogue(g: Graph, report=None) -> CheckOutcome:
 # sweeps: a level at a time, in stacked chunks
 
 
-def _failures(graphs: list[Graph], ix: IndexStack) -> list[CheckOutcome]:
+def _failures(ix: IndexStack) -> list[CheckOutcome]:
     """Every failed check of a chunk, graph by graph in the checks' order."""
     lemmas = [
         ("edge_lipschitz", _edge_lipschitz(ix.eps3, ix.edges)),
         (
             "main_inequality",
-            _main_inequality(ix.kind, ix.comparisons, ix.f1, ix.f2, _is_path(ix.degree)),
+            _main_inequality(ix.kind, ix.comparisons, ix.f1, ix.f2, ix.degree, ix.eps3),
         ),
         ("eccentric_analogue", _eccentric_analogue(ix.n, ix.m, ix.e1.tolist(), ix.e2.tolist())),
     ]
     if ix.kind is GraphKind.TREE:
-        dec = decorate_stack(graphs, ix.d)
+        dec = decorate_stack(ix.edges, ix.d)
         lemmas.append(("diametrical_lemmas", _diametral_lemmas(ix.d, ix.eps3, dec)))
-    failed = np.logical_or.reduce([bad for _, (bad, _) in lemmas])
+    failed = np.flatnonzero(np.logical_or.reduce([bad for _, (bad, _) in lemmas]))
     return [
-        CheckOutcome(name, to_graph6(graphs[k]), False, "; ".join(problems(k)))
-        for k in np.flatnonzero(failed).tolist()
+        CheckOutcome(name, g6, False, "; ".join(problems(k)))
+        for k, g6 in zip(failed.tolist(), graph6_stack(ix.edges[failed], ix.n))
         for name, (bad, problems) in lemmas
         if bad[k]
     ]
+
+
+def _graph6_of(ix: IndexStack, comparison: Comparison) -> list[str]:
+    """graph6 of the chunk's graphs with this comparison, in order."""
+    rows = [k for k, c in enumerate(ix.comparisons) if c is comparison]
+    return graph6_stack(ix.edges[rows], ix.n)
 
 
 def _tree_extremes(n: int, picks: dict, shapes: dict) -> list[CheckOutcome]:
     """Extremal theorem: the star minimises and the path maximises F1 and F2.
 
     picks maps (index, side) to each chunk's first extreme value and its
-    tree, in stream order; shapes maps "star" and "path" to the first such
-    tree's indices.
+    tree's edge row, in stream order; shapes maps "star" and "path" to
+    the first such tree's indices.
     """
     failures = []
     for name in ("f1", "f2"):
         for side, pick, shape in (("min", min, "star"), ("max", max, "path")):
             # min and max return the first extreme: the level's first
-            val, h = pick(picks[name, side], key=lambda pair: pair[0])
+            val, row = pick(picks[name, side], key=lambda pair: pair[0])
             want = shapes[shape][name]
             if want != val:
                 failures.append(
                     CheckOutcome(
                         "tree_extremes",
-                        to_graph6(h),
+                        graph6_stack(row[None], n)[0],
                         False,
                         f"n={n}: {side} {name}={val} not attained by the {shape} ({want})",
                     )
@@ -330,23 +346,24 @@ def _tree_extremes(n: int, picks: dict, shapes: dict) -> list[CheckOutcome]:
     return failures
 
 
-def _sweep_level(summary: SweepSummary, n: int, level) -> None:
-    """Analyse one level of the stream chunk by chunk, recording into summary."""
-    picks: dict = {}  # (index, side) -> [(first extreme value, its tree) per chunk]
+def _sweep_level(summary: SweepSummary, n: int, chunks) -> None:
+    """Analyse one level, a stream of (K, m, 2) edge chunks on n vertices,
+    chunk by chunk, recording into summary."""
+    picks: dict = {}  # (index, side) -> [(first extreme value, its edge row) per chunk]
     shapes: dict = {}  # "star" / "path" -> indices of the first such tree
-    for graphs, ix in index_chunks(level):
-        summary.instance_count += len(graphs)
-        summary.failures.extend(_failures(graphs, ix))
-        summary.equality_instances.extend(
-            to_graph6(g) for g, c in zip(graphs, ix.comparisons) if c is Comparison.ZERO
-        )
+    for edges in chunks:
+        ix = index_stack(edges, n)
+        summary.instance_count += len(edges)
+        summary.failures.extend(_failures(ix))
+        summary.equality_instances.extend(_graph6_of(ix, Comparison.ZERO))
         if ix.kind is not GraphKind.TREE:
             continue
         for name in ("f1", "f2"):
             vals = getattr(ix, name).tolist()
             for side, pick in (("min", min), ("max", max)):
                 k = vals.index(pick(vals))
-                picks.setdefault((name, side), []).append((vals[k], graphs[k]))
+                # a copy, so that no pick holds its whole chunk
+                picks.setdefault((name, side), []).append((vals[k], edges[k].copy()))
         found = (("star", ix.degree.max(axis=1) == n - 1), ("path", _is_path(ix.degree)))
         for shape, mask in found:
             hits = np.flatnonzero(mask)
@@ -359,19 +376,21 @@ def _sweep_level(summary: SweepSummary, n: int, level) -> None:
 def sweep_class(kind: GraphKind, n_values) -> SweepSummary:
     """Run all applicable checks on every enumerated isomorphism class.
 
-    One enumeration pass grows every level up to max(n_values); the
-    sizes not in n_values are skipped.
+    One enumeration pass grows every level from min(n_values) to
+    max(n_values), in edge-array chunks; the sizes not in n_values are
+    skipped.
     """
     if kind is GraphKind.TREE:
-        summary, enumerate_class = SweepSummary(swept="tree"), enumerate_free_trees
+        summary, chunks = SweepSummary(swept="tree"), free_tree_chunks
     elif kind is GraphKind.UNICYCLIC:
-        summary, enumerate_class = SweepSummary(swept="unicyclic"), enumerate_unicyclic
+        summary, chunks = SweepSummary(swept="unicyclic"), partial(cyclic_chunks, 1)
     else:
         raise ValueError("sweep_class handles tree and unicyclic classes only")
     wanted = set(n_values)
-    for n, level in groupby(enumerate_class(max(wanted, default=0)), key=lambda g: g.n):
+    stream = chunks(max(wanted, default=0), min(wanted, default=0))
+    for n, level in groupby(stream, key=itemgetter(0)):
         if n in wanted:
-            _sweep_level(summary, n, level)
+            _sweep_level(summary, n, map(itemgetter(1), level))
     return summary
 
 
@@ -400,11 +419,10 @@ def _family_grid():
                 yield two_cycles_with_tail(c, c, 2 * half, half // tail_frac)
 
 
-def _record(summary: SweepSummary, g: Graph, comparison: Comparison) -> None:
-    if comparison is Comparison.POSITIVE:
-        summary.positive_instances.append(to_graph6(g))
-    elif comparison is Comparison.NEGATIVE:
-        summary.negative_instances.append(to_graph6(g))
+def _record(summary: SweepSummary, ix: IndexStack) -> None:
+    summary.instance_count += len(ix.edges)
+    summary.positive_instances.extend(_graph6_of(ix, Comparison.POSITIVE))
+    summary.negative_instances.extend(_graph6_of(ix, Comparison.NEGATIVE))
 
 
 def search_counterexample(
@@ -424,29 +442,29 @@ def search_counterexample(
         raise ValueError(f"unknown strategy {strategy!r}; choose from {SEARCH_STRATEGIES}")
     summary = SweepSummary(swept=f"search:{strategy}")
 
-    if strategy != "random-walk":
-        exhaustive = strategy == "exhaustive-small"
-        stream = enumerate_bicyclic(max_n) if exhaustive else _family_grid()
-        if budget is None:
-            budget = 10_000 if exhaustive else 200
-        for graphs, ix in index_chunks(islice(stream, budget)):
-            summary.instance_count += len(graphs)
-            for g, comparison in zip(graphs, ix.comparisons):
-                _record(summary, g, comparison)
-        if exhaustive:
-            # exhaustive over all classes in range: complete even if one side
-            # has no instance at these sizes, unless the budget cut it short
-            summary.complete = next(stream, None) is None
-        else:
-            summary.complete = bool(summary.positive_instances and summary.negative_instances)
+    if strategy == "exhaustive-small":
+        # exhaustive over all classes in range: complete even if one side
+        # has no instance at these sizes, unless the budget cut it short
+        left = 10_000 if budget is None else budget
+        for n, edges in cyclic_chunks(2, max_n):
+            if len(edges) > left:
+                edges, summary.complete = edges[:left], False
+            left -= len(edges)
+            if len(edges):
+                _record(summary, index_stack(edges, n))
+            if not summary.complete:
+                break
+    elif strategy == "family-sweep":
+        for _, ix in index_chunks(islice(_family_grid(), 200 if budget is None else budget)):
+            _record(summary, ix)
+        summary.complete = bool(summary.positive_instances and summary.negative_instances)
     else:
         budget = budget if budget is not None else 300
         rng = random.Random(seed)
         # a spanning tree plus 3 extra edges: cyclomatic number 3
         g = random_connected(14, seed=rng.randrange(2**32), extra_edges=3)
         while summary.instance_count < budget:
-            summary.instance_count += 1
-            _record(summary, g, full_report(g).comparison)
+            _record(summary, index_stack(edge_stack([g]), g.n, None, [g]))
             # edge-swap perturbation preserving m (hence cyclomatic) and
             # connectivity
             for _ in range(50):

@@ -18,6 +18,8 @@ import pytest
 import fermatecc as fe
 import fermatecc.verify as verify
 from fermatecc import Comparison, GraphKind, IndexReport, classify, eps3_pruned, fermat_distance
+from fermatecc.generators import cyclic_chunks, free_tree_chunks
+from fermatecc.graph import edge_stack
 from fermatecc.indices import index_chunks
 
 
@@ -134,7 +136,7 @@ def test_lemma_failures_match_the_definitions():
         if n < 3:
             continue
         d = np.stack([fe.all_pairs_distances(t) for t in trees])
-        ix = fe.indices.index_stack(trees, d)
+        ix = fe.indices.index_stack(edge_stack(trees), n, d)
         decorations = [_reference_decoration(t, dt) for t, dt in zip(trees, d)]
         for _ in range(20):
             eps = ix.eps3.copy()
@@ -142,7 +144,7 @@ def test_lemma_failures_match_the_definitions():
                 delta = rng.choice((-2, -1, 0, 1, 2))
                 row[rng.randrange(n)] += delta
                 changed += delta != 0
-            got = verify._failures(trees, ix._replace(eps3=eps))
+            got = verify._failures(ix._replace(eps3=eps))
             want = []
             for t, dt, e, dec in zip(trees, d, eps.tolist(), decorations):
                 single = []
@@ -170,6 +172,43 @@ def test_lemma_failures_match_the_definitions():
     assert trials // 2 < failed < trials
 
 
+def test_main_inequality_flags_the_unicyclic_equality_case_both_ways():
+    # on unicyclic graphs n*F2 = m*F1 exactly where eps3 is constant: on
+    # 3 of the 13 classes with 6 vertices, the cycle C_6 among them
+    (n, edges), = cyclic_chunks(1, 6, 6)
+    ix = fe.indices.index_stack(edges, n)
+    constant = (ix.eps3 == ix.eps3[:, :1]).all(axis=1)
+    zero = np.array([c is Comparison.ZERO for c in ix.comparisons])
+    assert constant.tolist() == zero.tolist() and zero.sum() == 3 and not constant[:3].any()
+    assert verify._failures(ix) == []
+    cyc = int(np.flatnonzero(constant)[0])
+    graphs = [fe.graph.row_graph(row, n) for row in edges]
+    # equality moved from the first constant class to the first class, and
+    # a constant eps3 given to the third, which keeps its negative comparison
+    eps = ix.eps3.copy()
+    eps[2] = 3
+    comparisons = list(ix.comparisons)
+    comparisons[0], comparisons[cyc] = Comparison.ZERO, Comparison.NEGATIVE
+    bad = ix._replace(eps3=eps, comparisons=tuple(comparisons))
+    want = [
+        (0, "comparison=zero, eps3_constant=False"),
+        (2, "comparison=negative, eps3_constant=True"),
+        (cyc, "comparison=negative, eps3_constant=True"),
+    ]
+    expected = [
+        verify.CheckOutcome(
+            "main_inequality", fe.to_graph6(graphs[k]), False, f"equality characterization: {detail}"
+        )
+        for k, detail in want
+    ]
+    assert verify._failures(bad) == expected
+    # the per-graph check is the same lemma on a stack of one
+    for k, outcome in zip((0, 2, cyc), expected):
+        report = bad.report(k)
+        assert fe.verify_main_inequality(graphs[k], report) == outcome
+    assert fe.verify_main_inequality(graphs[1], bad.report(1)).passed
+
+
 # ---------------------------------------------------------------------------
 # chunk boundaries
 
@@ -183,13 +222,13 @@ def _tied_extremes(monkeypatch):
     """
     real = fe.indices.index_stack
 
-    def tied(graphs, d):
-        ix = real(graphs, d)
+    def tied(*args):
+        ix = real(*args)
         stars = ix.degree.max(axis=1) == ix.n - 1
         paths = verify._is_path(ix.degree)
         return ix._replace(f1=stars.astype(np.int64), f2=-paths.astype(np.int64))
 
-    monkeypatch.setattr(fe.indices, "index_stack", tied)
+    monkeypatch.setattr(verify, "index_stack", tied)
 
 
 def _expected_extremes(max_n):
@@ -251,15 +290,15 @@ def test_index_chunks_cut_the_stream_at_every_change_of_n_and_m():
 def test_level_analysis_memory_is_bounded_by_the_table(monkeypatch):
     # 551 trees on 12 vertices: their whole stack is 79,344 entries, so a
     # table of 4096 entries cuts the level into 20 chunks of 28 trees
-    trees = [t for t in fe.enumerate_free_trees(12) if t.n == 12]
     table = 4096
 
     def peak(table_entries):
         monkeypatch.setattr(fe.fermat, "_TABLE", table_entries)
+        chunks = [edges for _, edges in free_tree_chunks(12, 12)]
         summary = verify.SweepSummary(swept="tree")
         tracemalloc.start()
         try:
-            verify._sweep_level(summary, 12, iter(trees))
+            verify._sweep_level(summary, 12, iter(chunks))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

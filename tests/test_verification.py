@@ -112,7 +112,14 @@ def test_sweep_analyses_each_tree_once(monkeypatch):
         stacks.append((n, [e.tobytes() for e in edges]))
         return real(edges, n)
 
+    real_graph6 = fermatecc.verify.graph6_stack
+
+    def encoding(edges, n):
+        calls["graph6"] += len(edges)
+        return real_graph6(edges, n)
+
     monkeypatch.setattr(fermatecc.verify, "to_graph6", counting("graph6", fermatecc.verify.to_graph6))
+    monkeypatch.setattr(fermatecc.verify, "graph6_stack", encoding)
     # every module-level name the package looks per-graph APSP up under
     for module in (fermatecc.verify, fermatecc.indices, fermatecc.fermat, fermatecc.generators):
         monkeypatch.setattr(module, "all_pairs_distances", counting("apsp", module.all_pairs_distances))
@@ -133,33 +140,35 @@ def test_sweep_analyses_each_tree_once(monkeypatch):
 def test_sweep_grows_each_level_once(monkeypatch):
     import fermatecc.verify
 
-    yields, real = [], fermatecc.verify.enumerate_free_trees
+    yields, real = [], fermatecc.verify.free_tree_chunks
 
-    def counting(max_n):
+    def counting(max_n, min_n):
         yields.append(0)
-        for g in real(max_n):
-            yields[-1] += 1
-            yield g
+        for n, edges in real(max_n, min_n):
+            yields[-1] += len(edges)
+            yield n, edges
 
-    monkeypatch.setattr(fermatecc.verify, "enumerate_free_trees", counting)
+    monkeypatch.setattr(fermatecc.verify, "free_tree_chunks", counting)
     sweep_class(GraphKind.TREE, range(2, 10))
-    # one call yields every class on 1..9 vertices once: A000055 summed
-    assert yields == [sum((1, 1, 1, 2, 3, 6, 11, 23, 47))] == [95]
+    # one call yields every class on 2..9 vertices once, and none smaller
+    # than the sweep's least n: A000055 summed
+    assert yields == [sum((1, 1, 2, 3, 6, 11, 23, 47))] == [94]
 
 
 def test_sweep_tree_extremes_names_the_extremal_tree(monkeypatch):
     import fermatecc.indices
+    import fermatecc.verify
 
     real = fermatecc.indices.index_stack
 
-    def inflated_star(graphs, d):
+    def inflated_star(*args):
         # the sweep reads F1 off each chunk's index arrays
-        ix = real(graphs, d)
+        ix = real(*args)
         stars = ix.degree.max(axis=1) == ix.n - 1
         return ix._replace(f1=ix.f1 + 1000 * (stars & (ix.n == 5)))
 
-    # index_chunks, which every chunked analysis runs through, looks it up there
-    monkeypatch.setattr(fermatecc.indices, "index_stack", inflated_star)
+    # the sweep analyses each enumerated chunk through the name it imports
+    monkeypatch.setattr(fermatecc.verify, "index_stack", inflated_star)
     summary = sweep_class(GraphKind.TREE, range(5, 6))
     low, high = [f for f in summary.failures if f.check_name == "tree_extremes"]
     # each failure names the tree holding the extreme: the chair (max degree
@@ -223,11 +232,17 @@ def test_no_bicyclic_class_below_12_vertices_is_positive():
 
 @pytest.mark.parametrize(
     "budget, count, complete, negatives",
-    [(0, 0, False, 0), (1, 1, False, 0), (327, 327, False, 294), (328, 328, True, 295)],
+    [
+        (0, 0, False, 0),
+        (1, 1, False, 0),
+        (327, 327, False, 294),
+        (328, 328, True, 295),
+        (10_000, 328, True, 295),
+    ],
 )
 def test_exhaustive_search_budget_boundary(budget, count, complete, negatives):
     # 328 bicyclic classes with n <= 8: a budget of exactly 328 completes
-    # the search, one less cuts it short
+    # the search, one less cuts it short, inside the last level's chunk
     summary = search_counterexample("exhaustive-small", budget=budget, max_n=8)
     assert summary.instance_count == count
     assert summary.complete is complete
