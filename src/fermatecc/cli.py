@@ -8,13 +8,13 @@ Subcommands: compute, verify, formula, search.  Exit codes:
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .errors import ConnectivityError, GraphError, ParseError, PreconditionError, ValidationError
 from .generators import bicyclic_delta_formula, multicyclic_delta_formula
@@ -46,7 +46,7 @@ class UsageError(Exception):
 def _thread_count(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise ValueError(f"must be at least 1, got {value}")
     return value
 
 
@@ -311,61 +311,284 @@ def cmd_search(args) -> int:
     return EXIT_INCOMPLETE
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="fermatecc",
-        description="Fermat eccentricities, Zagreb-Fermat indices, and inequality verification",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+DESCRIPTION = "Fermat eccentricities, Zagreb-Fermat indices, and inequality verification"
+HELP_FLAGS = ("-h", "--help")
+REQUIRED = object()  # the default of an option that must be given
 
-    def common(p, formats=("json", "text")):
-        p.add_argument("--format", choices=formats, default="json")
-        p.add_argument("--output", default=None, help="write to file instead of stdout")
-        p.add_argument(
+
+def _shared(formats=("json", "text")):
+    """The options every command takes."""
+    return (
+        ("--format", formats, "json", "output format"),
+        ("--output", str, None, "write to this file instead of stdout"),
+        (
             "--threads",
-            type=_thread_count,
-            default=os.cpu_count() or 1,
-            help="accepted for compatibility and ignored: every computation is single-threaded",
+            _thread_count,
+            os.cpu_count() or 1,
+            "accepted for compatibility and ignored: every computation is single-threaded",
+        ),
+    )
+
+
+# The command line, read by parse_args and printed by -h.  Each command
+# maps to (handler, help line, positionals, options).  A positional is
+# (name, choices or converter, arity, help); arity "+" takes one or more
+# values as a list.  An option is (flag, choices or converter or None for
+# a switch, default, help); its value is stored under the flag without
+# its dashes, "-" read as "_".
+COMMANDS = {
+    "compute": (
+        cmd_compute,
+        "index report for one graph file",
+        (),
+        (
+            ("--input", str, REQUIRED, "edge-list file (or .g6 for graph6)"),
+            *_shared(("json", "csv", "text")),  # csv is one report row
+        ),
+    ),
+    "verify": (
+        cmd_verify,
+        "exhaustive theorem sweep over a graph class",
+        (
+            ("graph_class", ("tree", "unicyclic"), 1, "class to sweep"),
+            ("n_range", str, 1, "vertex count range, e.g. 2..9"),
+        ),
+        (
+            ("--force", None, False, "override enumeration caps"),
+            ("--witness-dir", str, None, "write each failing graph to this directory"),
+            *_shared(),
+        ),
+    ),
+    "formula": (
+        cmd_formula,
+        "evaluate a counterexample difference formula",
+        (
+            ("name", ("bicyclic", "multicyclic"), 1, "formula"),
+            ("params", int, "+", "x for bicyclic, k x for multicyclic"),
+        ),
+        _shared(),
+    ),
+    "search": (
+        cmd_search,
+        "hunt multicyclic comparison violations",
+        (("strategy", SEARCH_STRATEGIES, 1, "search strategy"),),
+        (
+            ("--budget", int, None, "most graphs to examine (by default 10000, 200 or 300 by strategy)"),
+            ("--seed", int, 0, "random-walk seed"),
+            ("--max-n", int, 8, "largest vertex count on exhaustive-small"),
+            ("--witness-dir", str, None, "write each graph the summary names to this directory"),
+            *_shared(),
+        ),
+    ),
+}
+TOP_USAGE = "fermatecc [-h] {" + ",".join(COMMANDS) + "} ..."
+SYNTAX = """\
+An option may come before, between or after the positionals, as
+--flag VALUE or --flag=VALUE; a unique prefix of a long flag stands for
+it, the last of a repeated option wins, and -- ends the options.
+"""
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _metavar(name: str, kind) -> str:
+    if isinstance(kind, tuple):
+        return "{" + ",".join(kind) + "}"
+    return name
+
+
+def _spelt(flag: str, kind) -> str:
+    """An option as usage and help show it: the flag, and its value's name."""
+    return flag if kind is None else f"{flag} {_metavar(_dest(flag).upper(), kind)}"
+
+
+def _usage(command: str) -> str:
+    _, _, positionals, options = COMMANDS[command]
+    words = [f"fermatecc {command} [-h]"]
+    for flag, kind, default, _ in options:
+        word = _spelt(flag, kind)
+        words.append(word if default is REQUIRED else f"[{word}]")
+    for name, kind, arity, _ in positionals:
+        word = _metavar(name, kind)
+        words.append(f"{word} [{word} ...]" if arity == "+" else word)
+    return " ".join(words)
+
+
+def _help(command: str | None) -> str:
+    """fermatecc -h, or one command's -h, from the table."""
+    if command is None:
+        width = max(map(len, COMMANDS)) + 2
+        rows = "".join(
+            f"  {name:<{width}}{entry[1]}\n    {_usage(name)}\n" for name, entry in COMMANDS.items()
         )
+        return (
+            f"usage: {TOP_USAGE}\n\n{DESCRIPTION}\n\ncommands:\n{rows}\n{SYNTAX}"
+            "fermatecc COMMAND -h describes one command.\n"
+        )
+    _, line, positionals, options = COMMANDS[command]
+    rows = [(_metavar(name, kind), text) for name, kind, _, text in positionals]
+    for flag, kind, default, text in options:
+        if default is REQUIRED:
+            text += " (required)"
+        elif default is not None and kind is not None:
+            text += f" (default {default})"
+        rows.append((_spelt(flag, kind), text))
+    rows.append(("-h, --help", "show this help and exit"))
+    width = max(len(left) for left, _ in rows) + 2
+    body = "".join(f"  {left:<{width}}{text}\n" for left, text in rows)
+    return f"usage: {_usage(command)}\n\n{line}\n\narguments:\n{body}\n{SYNTAX}"
 
-    p = sub.add_parser("compute", help="index report for one graph file")
-    p.add_argument("--input", required=True, help="edge-list file (or .g6 for graph6)")
-    common(p, formats=("json", "csv", "text"))  # csv is one report row
-    p.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("verify", help="exhaustive theorem sweep over a graph class")
-    p.add_argument("graph_class", choices=("tree", "unicyclic"))
-    p.add_argument("n_range", help="vertex count range, e.g. 2..9")
-    p.add_argument("--force", action="store_true", help="override enumeration caps")
-    p.add_argument("--witness-dir", default=None)
-    common(p)
-    p.set_defaults(func=cmd_verify)
+def _read(token: str, flags) -> tuple | None:
+    """How argparse reads one token before "--": None for a positional,
+    (flag, attached value or None) for a flag given in full or as a unique
+    prefix, and (None, None) for an option-like token that names no flag.
+    A prefix of two flags raises ValueError."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in flags:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in flags:
+        return name, value
+    if token[1] == "-":
+        hits = [f for f in flags if f.startswith(name)]
+        if len(hits) > 1:
+            raise ValueError(f"ambiguous option: {name} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], value if eq else None
+    elif token.startswith("-h"):
+        return "-h", token[2:]
+    # a negative number (-N, -N.N or -.N) or a token with a space is a value
+    whole, dot, frac = token[1:].partition(".")
+    number = (frac if dot else whole).isdecimal() and (whole.isdecimal() or not whole)
+    return None if number or " " in token else (None, None)
 
-    p = sub.add_parser("formula", help="evaluate a counterexample difference formula")
-    p.add_argument("name", choices=("bicyclic", "multicyclic"))
-    p.add_argument("params", type=int, nargs="+")
-    common(p)
-    p.set_defaults(func=cmd_formula)
 
-    p = sub.add_parser("search", help="hunt multicyclic comparison violations")
-    p.add_argument("strategy", choices=SEARCH_STRATEGIES)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-n", type=int, default=8)
-    p.add_argument("--witness-dir", default=None)
-    common(p)
-    p.set_defaults(func=cmd_search)
-    return ap
+def _answer_help(command: str | None, flag: str, value: str | None) -> None:
+    # -hh is -h twice, as argparse reads it; any other attached value is an error
+    if value is None or (flag == "-h" and value and not value.strip("h")):
+        sys.stdout.write(_help(command))
+        raise SystemExit(EXIT_OK)
+    raise ValueError(f"argument -h/--help: ignored explicit argument {value!r}")
+
+
+def _convert(name: str, kind, token: str):
+    if isinstance(kind, tuple):
+        if token not in kind:
+            raise ValueError(f"argument {name}: invalid choice: {token!r} (choose from {', '.join(kind)})")
+        return token
+    try:
+        return kind(token)
+    except ValueError as exc:
+        raise ValueError(f"argument {name}: {exc}") from None
+
+
+def _parse_command(command: str, argv: list[str], extras: list[str]) -> SimpleNamespace:
+    _, _, positionals, options = COMMANDS[command]
+    kinds = {flag: kind for flag, kind, _, _ in options}
+    args = {_dest(flag): default for flag, _, default, _ in options}
+    end = argv.index("--") if "--" in argv else len(argv)
+    # every token is read before any is acted on, so an ambiguous prefix
+    # is an error even after -h
+    reads = [_read(token, (*HELP_FLAGS, *kinds)) for token in argv[:end]]
+    pending = list(positionals)
+    run: list[str] = []  # the positionals since the last flag
+
+    def take_run():
+        # a run fills as many positionals as it can, "+" taking all it has
+        # left; the positionals it leaves wait for the next run
+        while run and pending:
+            name, kind, arity, _ = pending.pop(0)
+            count = len(run) if arity == "+" else 1
+            values = [_convert(name, kind, token) for token in run[:count]]
+            args[name] = values if arity == "+" else values[0]
+            del run[:count]
+        extras.extend(run)
+        run.clear()
+
+    i = 0
+    while i < end:
+        token, read = argv[i], reads[i]
+        i += 1
+        if read is None:
+            run.append(token)
+            continue
+        take_run()
+        flag, value = read
+        if flag is None:
+            extras.append(token)
+        elif flag in HELP_FLAGS:
+            _answer_help(command, flag, value)
+        elif kinds[flag] is None:
+            if value is not None:
+                raise ValueError(f"argument {flag}: ignored explicit argument {value!r}")
+            args[_dest(flag)] = True
+        else:
+            if value is None:
+                if i == end or reads[i] is not None:
+                    raise ValueError(f"argument {flag}: expected one argument")
+                value = argv[i]
+                i += 1
+            args[_dest(flag)] = _convert(flag, kinds[flag], value)
+    run.extend(argv[end + 1 :])
+    if end < len(argv) and not run:
+        extras.append("--")  # argparse keeps a "--" that no positional takes
+    take_run()
+    missing = [name for name, *_ in pending]
+    missing += [flag for flag in kinds if args[_dest(flag)] is REQUIRED]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**args)
+
+
+def parse_args(argv: list[str]) -> tuple:
+    """(handler, arguments) of a command line, read from COMMANDS.
+
+    It accepts, rejects and answers with help the command lines argparse
+    did: flags as --flag VALUE, --flag=VALUE or a unique prefix of a long
+    flag, before, between or after the positionals; -- ends the flags;
+    negative numbers are values; the last of a repeated option wins.
+    -h prints help to stdout and raises SystemExit(0); a usage error is
+    printed to stderr and raises SystemExit(2).
+    """
+    unknown: list[str] = []  # reported only after the command's own errors
+    command = None
+    try:
+        for i, token in enumerate(argv):
+            read = None if token == "--" else _read(token, HELP_FLAGS)
+            if read is None:
+                if token not in COMMANDS:
+                    raise ValueError(
+                        f"argument command: invalid choice: {token!r} (choose from {', '.join(COMMANDS)})"
+                    )
+                command = token
+                return COMMANDS[command][0], _parse_command(command, argv[i + 1 :], unknown)
+            if read[0] is None:
+                unknown.append(token)
+            else:
+                _answer_help(None, *read)
+        raise ValueError("the following arguments are required: command")
+    except ValueError as exc:
+        if command is None:
+            usage, prog = TOP_USAGE, "fermatecc"
+        else:
+            usage, prog = _usage(command), f"fermatecc {command}"
+        sys.stderr.write(f"usage: {usage}\n{prog}: error: {exc}\n")
+        raise SystemExit(EXIT_USAGE) from None
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        handler, args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        return exc.code
     try:
-        return args.func(args)
+        return handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

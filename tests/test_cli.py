@@ -165,7 +165,7 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
     code, _, _ = run_cli("no-such-command")
     assert code == 2
-    # arguments argparse accepts but the command's domain does not
+    # arguments the parser accepts but the command's domain does not
     for argv in (
         ["verify", "tree", "a..b"],
         ["verify", "tree", "0..3"],
