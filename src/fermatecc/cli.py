@@ -8,7 +8,6 @@ Subcommands: compute, verify, formula, search.  Exit codes:
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import os
@@ -81,6 +80,8 @@ def _report_dict(rep: IndexReport) -> dict:
 
 
 def _report_csv(name: str, rep: IndexReport) -> str:
+    import csv  # only compute --format csv writes csv: loaded on first use
+
     row = [
         name,
         rep.n,

@@ -66,7 +66,7 @@ diameter 42, int16 up to diameter 10922, int32 above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,15 +74,13 @@ from .errors import ConnectivityError, PreconditionError
 from .graph import Graph, all_pairs_distances, bfs_tree, eccentricities, is_connected, row_graph
 
 
-@dataclass(frozen=True)
-class FermatWitness:
+class FermatWitness(NamedTuple):
     pair: tuple[int, int]
     fermat_vertex: int
     value: int
 
 
-@dataclass(frozen=True)
-class FermatProfile:
+class FermatProfile(NamedTuple):
     eps3: tuple[int, ...]
     witnesses: tuple[FermatWitness, ...] | None = None
     pair_evaluations: int | None = None

@@ -22,19 +22,18 @@ enumerate_free_trees, enumerate_unicyclic and enumerate_bicyclic turn
 the rows into Graphs for callers that want them.
 
 The two closed-form difference quotients for the multicyclic
-counterexample families are evaluated in exact rational arithmetic.
+counterexample families are evaluated in exact rational arithmetic; only
+their signs are checked, and no graph here realises them yet.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, combinations_with_replacement, islice, product
 from operator import itemgetter, sub
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
@@ -51,6 +50,9 @@ from .graph import (
     make_graph,
     row_graph,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +474,7 @@ def enumerate_bicyclic(max_n: int) -> Iterator[Graph]:
 # diametrical-path decoration of trees
 
 
-@dataclass(frozen=True)
-class TreeDecoration:
+class TreeDecoration(NamedTuple):
     """Diametrical-path scaffolding of a tree.
 
     diametrical_path is v_0..v_D, read from its smaller end, and contains
@@ -611,13 +612,23 @@ def _invariant_failed(t: Graph, d: np.ndarray, message: str) -> None:
 # ---------------------------------------------------------------------------
 # closed-form difference quotients for the multicyclic counterexamples
 #
-# Both evaluate the exact rational value of F1/n - F2/m for the two
-# parameterised families; a positive value means the tree/unicyclic
-# inequality still holds, a negative value means it is violated.
+# Each evaluates one rational function exactly, read as F1/n - F2/m of a
+# multicyclic family: positive where the tree/unicyclic inequality still
+# holds, negative where it fails.  No graph in this package realises either
+# yet, so a sign says nothing about a graph the searches produce.
+# fractions is loaded on the first call; no other command needs it.
 
 
 def bicyclic_delta_formula(x: int) -> Fraction:
-    """(-x^3/2 + 31x^2 + 173x + 55) / ((3x+6)(3x+7)) for the bicyclic family."""
+    """(-x^3/2 + 31x^2 + 173x + 55) / ((3x+6)(3x+7)), exactly, for x >= 0.
+
+    The closed form stated for the bicyclic counterexample family.  What
+    `formula` and acceptance criterion 6 check is only its sign at the
+    given x (positive at x = 67, negative at x = 68).  No graph in this
+    package realises it yet.
+    """
+    from fractions import Fraction
+
     if x < 0:
         raise ValueError(f"x must be non-negative, got {x}")
     num = Fraction(-(x**3), 2) + 31 * x**2 + 173 * x + 55
@@ -626,7 +637,17 @@ def bicyclic_delta_formula(x: int) -> Fraction:
 
 
 def multicyclic_delta_formula(k: int, x: int) -> Fraction:
-    """Difference quotient for the k-cycle family (k >= 3)."""
+    """The k-cycle family's rational function of x, exactly, for k >= 3 and x >= 0.
+
+    ((-k^2/6 - 26k/3) x^3 + (8k^2 - 54k) x^2 + (121k^2/6 - 226k/3) x
+    + 12k^2 - 30k) / ((kx + 3k)(kx + 2k + 1)), the closed form stated for
+    the family with k independent cycles.  What `formula` and acceptance
+    criterion 6 check is only its sign at the given x (for each
+    k = 3..10, positive at x = 0 and negative at some x < 10^4).  No
+    graph in this package realises it yet.
+    """
+    from fractions import Fraction
+
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     if x < 0:

@@ -9,10 +9,10 @@ graph6 strings (McKay's six-bit format) are encoded and decoded natively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,19 +25,19 @@ class GraphKind(Enum):
     MULTICYCLIC = "multicyclic"
 
 
-@dataclass(frozen=True)
-class GraphClass:
+class GraphClass(NamedTuple):
     kind: GraphKind
     cyclomatic: int
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Immutable undirected simple graph on vertices 0..n-1, with its edges
-    (u, v), u < v, in sorted order."""
-
+class _GraphFields(NamedTuple):
     n: int
     edges: tuple[tuple[int, int], ...]
+
+
+class Graph(_GraphFields):
+    """Immutable undirected simple graph on vertices 0..n-1, with its edges
+    (u, v), u < v, in sorted order.  Equal and hashed as the tuple (n, edges)."""
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
@@ -61,6 +61,14 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+    def __setattr__(self, name: str, value) -> None:
+        # the instance dict holds only adj's cache, which cached_property
+        # writes directly
+        raise AttributeError(f"Graph is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Graph is immutable: cannot delete {name!r}")
 
 
 def make_graph(n: int, edges, strict: bool = True) -> Graph:
@@ -358,8 +366,7 @@ def cyclomatic_kind(cyclomatic: int) -> GraphKind:
     return GraphKind.UNICYCLIC if cyclomatic == 1 else GraphKind.MULTICYCLIC
 
 
-@dataclass(frozen=True)
-class Ecc2Profile:
+class Ecc2Profile(NamedTuple):
     ecc: tuple[int, ...]
     radius: int
     diameter: int

@@ -17,7 +17,6 @@ by the sign of the integer n*F2 - m*F1, in Python ints, never floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby, islice
 from typing import Iterator, NamedTuple
@@ -48,8 +47,7 @@ class Comparison(Enum):
     POSITIVE = "positive"
 
 
-@dataclass(frozen=True)
-class IndexReport:
+class IndexReport(NamedTuple):
     n: int
     m: int
     kind: GraphKind

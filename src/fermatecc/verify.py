@@ -24,10 +24,10 @@ one, analyse their streams in the same chunks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import groupby, islice
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,23 +61,56 @@ from .graph import (
 from .indices import Comparison, IndexStack, full_report, index_chunks, index_stack
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     check_name: str
     instance: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
 class SweepSummary:
-    swept: str
-    instance_count: int = 0
-    failures: list[CheckOutcome] = field(default_factory=list)
-    equality_instances: list[str] = field(default_factory=list)
-    positive_instances: list[str] = field(default_factory=list)
-    negative_instances: list[str] = field(default_factory=list)
-    complete: bool = True
+    """What a sweep or search saw; mutable, filled in as it runs.  Equal
+    when every field is, and printed field by field."""
+
+    __slots__ = (
+        "swept",
+        "instance_count",
+        "failures",
+        "equality_instances",
+        "positive_instances",
+        "negative_instances",
+        "complete",
+    )
+
+    def __init__(
+        self,
+        swept: str,
+        instance_count: int = 0,
+        failures: list[CheckOutcome] | None = None,
+        equality_instances: list[str] | None = None,
+        positive_instances: list[str] | None = None,
+        negative_instances: list[str] | None = None,
+        complete: bool = True,
+    ) -> None:
+        self.swept = swept
+        self.instance_count = instance_count
+        self.failures = [] if failures is None else failures
+        self.equality_instances = [] if equality_instances is None else equality_instances
+        self.positive_instances = [] if positive_instances is None else positive_instances
+        self.negative_instances = [] if negative_instances is None else negative_instances
+        self.complete = complete
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"SweepSummary({fields})"
 
     @property
     def passed(self) -> bool:

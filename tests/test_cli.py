@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -360,3 +361,19 @@ def test_sweep_invariant_failure_is_internal(monkeypatch, capsys):
     monkeypatch.setattr(gen, "eccentricities", lambda d: real(d) + 1)
     assert main(["verify", "tree", "2..5"]) == 5
     assert "double BFS path" in capsys.readouterr().err
+
+
+def test_benchmarked_commands_load_no_unused_stdlib(p4_file):
+    # the records are NamedTuples, not dataclasses, and fractions (with
+    # decimal) and csv load only for formula and --format csv
+    unused = ["copy", "csv", "dataclasses", "decimal", "fractions"]
+    code = (
+        "import sys, fermatecc.cli as c; "
+        "codes = [c.main(['verify', 'tree', '2..6']), "
+        "c.main(['search', 'exhaustive-small', '--max-n', '5']), "
+        f"c.main(['compute', '--input', {p4_file!r}])]; "
+        f"print(codes, sorted(set({unused!r}) & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fe.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.splitlines()[-1] == "[0, 4, 0] []"
