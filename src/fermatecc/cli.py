@@ -28,8 +28,6 @@ EXIT_PARSE = 3
 EXIT_INCOMPLETE = 4
 EXIT_INTERNAL = 5
 
-CSV_COLUMNS = "name,n,m,class,f1,f2,e1,e2,z1,z2,comparison"
-
 # largest n a verify sweep enumerates without --force; in-process, best
 # of 5 on a 2-vCPU VM, `verify tree 2..12` takes 0.027 s, `verify tree
 # 2..13` 0.051 s, `verify unicyclic 3..10` 0.035 s and `verify unicyclic
@@ -82,23 +80,14 @@ def _report_dict(rep: IndexReport) -> dict:
 def _report_csv(name: str, rep: IndexReport) -> str:
     import csv  # only compute --format csv writes csv: loaded on first use
 
-    row = [
-        name,
-        rep.n,
-        rep.m,
-        rep.kind.value,
-        rep.f1,
-        rep.f2,
-        rep.e1,
-        rep.e2,
-        rep.z1,
-        rep.z2,
-        rep.comparison.value,
-    ]
+    fields = {"name": name, **_report_dict(rep)}
+    del fields["eps3"]  # the row holds one value per column
     buf = io.StringIO()
     # quotes a field only where it holds a comma, a quote or a line break
-    csv.writer(buf, lineterminator="\n").writerow(row)
-    return CSV_COLUMNS + "\n" + buf.getvalue()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
+    writer.writerow(fields.values())
+    return buf.getvalue()
 
 
 def _report_text(name: str, rep: IndexReport) -> str:
@@ -223,6 +212,18 @@ def _write_witnesses(summary: SweepSummary, witness_dir: str) -> None:
         raise UsageError(f"cannot write {listing}: {exc.strerror}") from None
 
 
+def _emit_summary(summary: SweepSummary, args, witness_dir: str | None) -> None:
+    """Write the witness files to witness_dir, if given, and then the
+    summary: a directory that cannot be written stops the command before
+    any summary is printed."""
+    if witness_dir:
+        _write_witnesses(summary, witness_dir)
+    if args.format == "json":
+        _emit(json.dumps(_summary_dict(summary), sort_keys=True) + "\n", args.output)
+    else:
+        _emit(_summary_text(summary), args.output)
+
+
 def cmd_compute(args) -> int:
     g = _read_graph(args.input)
     rep = full_report(g)
@@ -251,15 +252,8 @@ def cmd_verify(args) -> int:
             f"n={max(ns)} exceeds the {args.graph_class} enumeration cap {cap} (use --force)"
         )
     summary = sweep_class(kind, ns)
-    if args.format == "json":
-        _emit(json.dumps(_summary_dict(summary), sort_keys=True) + "\n", args.output)
-    else:
-        _emit(_summary_text(summary), args.output)
-    if summary.failures:
-        if args.witness_dir:
-            _write_witnesses(summary, args.witness_dir)
-        return EXIT_VERIFY_FAIL
-    return EXIT_OK
+    _emit_summary(summary, args, args.witness_dir if summary.failures else None)
+    return EXIT_VERIFY_FAIL if summary.failures else EXIT_OK
 
 
 def cmd_formula(args) -> int:
@@ -301,12 +295,7 @@ def cmd_search(args) -> int:
         seed=args.seed,
         max_n=args.max_n,
     )
-    if args.witness_dir:
-        _write_witnesses(summary, args.witness_dir)
-    if args.format == "json":
-        _emit(json.dumps(_summary_dict(summary), sort_keys=True) + "\n", args.output)
-    else:
-        _emit(_summary_text(summary), args.output)
+    _emit_summary(summary, args, args.witness_dir)
     if summary.positive_instances and summary.negative_instances:
         return EXIT_OK
     return EXIT_INCOMPLETE

@@ -27,7 +27,8 @@ eps3_profile picks by size and class: trees take eps3_tree, other graphs
 with at most _ORACLE_MAX_N vertices take eps3_oracle, whose n^2 (n+1)/2
 sums are cheaper there than the pruned path's per-vertex Python work,
 and larger graphs take eps3_pruned.  eps3_stack makes the same choice
-for a stack of graphs with equal n and m.  The tree and oracle kernels
+for a stack of graphs with equal n and m, given as edge rows; it builds
+a Graph only for a row eps3_pruned takes.  The tree and oracle kernels
 work on (K, n, n) distance stacks; eps3_tree and eps3_oracle run them
 on a stack of one.
 
@@ -429,21 +430,20 @@ def eps3_tree(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
     return FermatProfile(eps3=tuple(_tree_eps3(d[None])[0].tolist()))
 
 
-def eps3_stack(edges: np.ndarray, d: np.ndarray, graphs=None) -> np.ndarray:
+def eps3_stack(edges: np.ndarray, d: np.ndarray) -> np.ndarray:
     """eps3 of the K connected graphs of a (K, m, 2) edge stack, as a (K, n) array.
 
     d is their (K, n, n) distance stack.  The path is eps3_profile's:
     the tree kernel on trees, the oracle's min-sums up to _ORACLE_MAX_N
-    vertices and eps3_pruned, graph by graph, above, on graphs or, where
-    None, on a Graph built from each row.
+    vertices, and eps3_pruned above, row by row, on a Graph built from
+    each row (row_graph): the only place an index computation builds one.
     """
     n = d.shape[1]
     if edges.shape[1] == n - 1:
         return _tree_eps3(d)
     if n <= _ORACLE_MAX_N:
         return _oracle_eps3(d)[0]
-    if graphs is None:
-        graphs = [row_graph(row, n) for row in edges]
+    graphs = (row_graph(row, n) for row in edges)
     return np.array([eps3_pruned(g, dg).eps3 for g, dg in zip(graphs, d)], dtype=np.int64)
 
 

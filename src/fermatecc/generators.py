@@ -98,6 +98,25 @@ def theta(a: int, b: int, c: int) -> Graph:
     return make_graph(nxt, edges)
 
 
+def _two_cycles(c1: int, c2: int, bridge: int, pendants) -> Graph:
+    """The cycle 0..c1-1, the bridge path 0, c1, .., c1 + bridge - 1, the
+    second cycle from the bridge's last vertex through the next c2 - 1
+    labels, then for each (base, length) of pendants a path of length
+    edges off base, numbered on from there."""
+    edges = [(i, (i + 1) % c1) for i in range(c1)]
+    path = [0, *range(c1, c1 + bridge)]
+    ring = [path[-1], *range(c1 + bridge, c1 + bridge + c2 - 1)]
+    nxt = ring[-1] + 1
+    edges += zip(path, path[1:])
+    edges += zip(ring, ring[1:] + ring[:1])
+    for prev, length in pendants:
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+    return make_graph(nxt, edges)
+
+
 def dumbbell(c1: int, c2: int, bridge: int, pendant1: int = 0, pendant2: int = 0) -> Graph:
     """Two cycles joined by a bridge path, optional pendant paths.
 
@@ -107,33 +126,9 @@ def dumbbell(c1: int, c2: int, bridge: int, pendant1: int = 0, pendant2: int = 0
     """
     if c1 < 3 or c2 < 3 or bridge < 0 or pendant1 < 0 or pendant2 < 0:
         raise ValueError("invalid dumbbell parameters")
-    edges = []
-    # first cycle on 0..c1-1, attachment vertex 0
-    for i in range(c1):
-        edges.append((i, (i + 1) % c1))
-    nxt = c1
-    # bridge from 0 to the second cycle's attachment vertex
-    prev = 0
-    for _ in range(bridge):
-        edges.append((prev, nxt))
-        prev = nxt
-        nxt += 1
-    # prev is the second cycle's attachment vertex, 0 when bridge == 0
-    ring = [prev] + list(range(nxt, nxt + c2 - 1))
-    nxt += c2 - 1
-    for i in range(len(ring)):
-        edges.append((ring[i], ring[(i + 1) % len(ring)]))
-    # pendants at vertices opposite the attachment points
-    for plen, base_ring, attach_idx in (
-        (pendant1, list(range(c1)), c1 // 2),
-        (pendant2, ring, len(ring) // 2),
-    ):
-        prev = base_ring[attach_idx]
-        for _ in range(plen):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return make_graph(nxt, edges)
+    # the second cycle's vertex c2 // 2 steps round from its attachment
+    opposite2 = c1 + bridge + c2 // 2 - 1
+    return _two_cycles(c1, c2, bridge, ((c1 // 2, pendant1), (opposite2, pendant2)))
 
 
 def two_cycles_with_tail(c1: int, c2: int, bridge: int, tail: int) -> Graph:
@@ -143,27 +138,8 @@ def two_cycles_with_tail(c1: int, c2: int, bridge: int, tail: int) -> Graph:
     """
     if c1 < 3 or c2 < 3 or bridge < 2 or tail < 0:
         raise ValueError("invalid two_cycles_with_tail parameters")
-    edges = []
-    for i in range(c1):
-        edges.append((i, (i + 1) % c1))
-    nxt = c1
-    prev = 0
-    bridge_vertices = [0]
-    for _ in range(bridge):
-        edges.append((prev, nxt))
-        bridge_vertices.append(nxt)
-        prev = nxt
-        nxt += 1
-    ring = [prev] + list(range(nxt, nxt + c2 - 1))
-    nxt += c2 - 1
-    for i in range(c2):
-        edges.append((ring[i], ring[(i + 1) % c2]))
-    prev = bridge_vertices[bridge // 2]
-    for _ in range(tail):
-        edges.append((prev, nxt))
-        prev = nxt
-        nxt += 1
-    return make_graph(nxt, edges)
+    # the bridge's vertex bridge // 2 steps from 0
+    return _two_cycles(c1, c2, bridge, ((c1 + bridge // 2 - 1, tail),))
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +165,19 @@ def _prufer_decode(seq: list[int], n: int) -> list[tuple[int, int]]:
     return edges
 
 
+def _random_tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """A uniform random labeled tree on n >= 1 vertices, decoded from a
+    Pruefer sequence of n - 2 draws from rng."""
+    if n == 1:
+        return []
+    return _prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
+
+
 def random_tree(n: int, seed: int) -> Graph:
     """Uniform random labeled tree via a random Pruefer sequence."""
     if n < 1:
         raise ValueError(f"random_tree needs n >= 1, got {n}")
-    if n == 1:
-        return make_graph(1, [])
-    if n == 2:
-        return make_graph(2, [(0, 1)])
-    rng = random.Random(seed)
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    return make_graph(n, _prufer_decode(seq, n))
+    return make_graph(n, _random_tree_edges(n, random.Random(seed)))
 
 
 def random_unicyclic(n: int, girth: int, seed: int) -> Graph:
@@ -218,10 +196,7 @@ def random_connected(n: int, seed: int, extra_edges: int | None = None) -> Graph
     if n < 1:
         raise ValueError(f"random_connected needs n >= 1, got {n}")
     rng = random.Random(seed)
-    if n <= 2:
-        return random_tree(n, seed)
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    edges = set(tuple(sorted(e)) for e in _prufer_decode(seq, n))
+    edges = set(tuple(sorted(e)) for e in _random_tree_edges(n, rng))
     max_extra = n * (n - 1) // 2 - len(edges)
     if extra_edges is None:
         extra_edges = rng.randint(0, min(n, max_extra))

@@ -107,20 +107,7 @@ def _require_connected(g: Graph) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    seen = bytearray(g.n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in g.adj[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                stack.append(v)
-    return count == g.n
+    return len(bfs_tree(g)[0]) == g.n
 
 
 def parse_edge_list(text: str, strict: bool = True) -> Graph:

@@ -2,17 +2,19 @@
 
 F1/F2 use Fermat eccentricities, E1/E2 ordinary eccentricities, Z1/Z2
 vertex degrees.  index_stack computes all six for a (K, m, 2) edge stack
-of graphs with equal n and m in one set of array reductions: eps3 by the
-fermat stack kernels, eccentricities as row maxima of the distance
-stack, degrees and edge sums by indexing the edge stack, from which the
+of graphs with equal n and m in one set of array reductions: eps3 by
+fermat.eps3_stack, which builds a Graph only for a row the pruned
+kernel takes, eccentricities as row maxima of the distance stack,
+degrees and edge sums by indexing the edge stack, from which the
 distance stack itself comes when none is supplied.  The sweeps and
 search exhaustive-small hand it the enumerators' edge-array chunks
 directly; index_chunks cuts any other Graph stream (the family grid,
 witness files) into chunks of the same size, at most fermat._TABLE
 distance entries each, so each list the package analyses is held a
-chunk at a time.  full_report and the zagreb_* functions run the same
-code on a stack of one.  The comparison of F2/m against F1/n is decided
-by the sign of the integer n*F2 - m*F1, in Python ints, never floats.
+chunk at a time.  A single graph is a chunk of one: full_report and the
+zagreb_* functions run the same code on a stack of one.  The comparison
+of F2/m against F1/n is decided by the sign of the integer n*F2 - m*F1,
+in Python ints, never floats.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .fermat import FermatProfile, eps3_stack
 from .graph import (
     Graph,
     GraphKind,
-    all_pairs_distances,
     cyclomatic_kind,
     degree_stack,
     distance_stack,
@@ -135,20 +136,18 @@ class IndexStack(NamedTuple):
         )
 
 
-def index_stack(
-    edges: np.ndarray, n: int, d: np.ndarray | None = None, graphs=None
-) -> IndexStack:
+def index_stack(edges: np.ndarray, n: int, d: np.ndarray | None = None) -> IndexStack:
     """All six indices and the comparison of the K connected graphs of a
     (K, m, 2) edge stack on n vertices, from their (K, n, n) distance
     stack d.  With d None the distances come from distance_stack on the
-    same edge stack.  graphs, the stack's Graphs if the caller has them,
-    spares eps3_stack building them from the rows."""
+    same edge stack.  Every per-graph step runs on the rows; eps3_stack
+    builds a Graph only for the rows its pruned kernel takes."""
     m = edges.shape[1]
     if m == 0:
         raise PreconditionError("the comparison needs at least one edge")
     if d is None:
         d = distance_stack(edges, n)
-    eps = eps3_stack(edges, d, graphs)
+    eps = eps3_stack(edges, d)
     degree = degree_stack(edges, n)
     f1, f2 = _zagreb(eps, edges)
     e1, e2 = _zagreb(eccentricities(d), edges)
@@ -177,19 +176,16 @@ def index_chunks(graphs) -> Iterator[tuple[list[Graph], IndexStack]]:
     """index_stack over a stream of Graphs, in order, as (chunk, its
     IndexStack): each run of equal (n, m) cut into chunks whose (K, n, n)
     distance stack holds at most fermat._TABLE entries (at least one
-    graph), the cut the enumerators' edge-array chunks make."""
+    graph), the cut the enumerators' edge-array chunks make.  Only the
+    chunk's edge stack is analysed; the Graphs are handed back as given."""
     for (n, _), run in groupby(graphs, key=lambda g: (g.n, g.m)):
         size = max(1, fermat._TABLE // (n * n))
         for chunk in iter(lambda: list(islice(run, size)), []):
-            yield chunk, index_stack(edge_stack(chunk), n, None, chunk)
+            yield chunk, index_stack(edge_stack(chunk), n)
 
 
 def full_report(g: Graph, d: np.ndarray | None = None) -> IndexReport:
-    """All six indices plus the comparison, via the fastest valid eps3 path."""
-    if g.m == 0:  # before APSP, which refuses an edgeless graph as disconnected
-        raise PreconditionError("the comparison needs at least one edge")
-    if d is None:
-        d = all_pairs_distances(g)
-    elif not is_connected(g):  # all_pairs_distances checks it otherwise
+    """All six indices plus the comparison: index_stack on a stack of one."""
+    if d is not None and not is_connected(g):  # distance_stack checks it otherwise
         raise ConnectivityError("full_report requires a connected graph")
-    return index_stack(edge_stack([g]), g.n, d[None], [g]).report(0)
+    return index_stack(edge_stack([g]), g.n, None if d is None else d[None]).report(0)

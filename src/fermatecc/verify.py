@@ -33,12 +33,11 @@ import numpy as np
 
 from .errors import PreconditionError
 from .fermat import eps3_profile, eps3_tree
-from .generators import (  # decorate_tree: perfbench's tracer looks the name up here
+from .generators import (
     DecorationStack,
     check_path_rows,
     cyclic_chunks,
     decorate_stack,
-    decorate_tree,  # noqa: F401
     dumbbell,
     free_tree_chunks,
     random_connected,
@@ -497,7 +496,7 @@ def search_counterexample(
         # a spanning tree plus 3 extra edges: cyclomatic number 3
         g = random_connected(14, seed=rng.randrange(2**32), extra_edges=3)
         while summary.instance_count < budget:
-            _record(summary, index_stack(edge_stack([g]), g.n, None, [g]))
+            _record(summary, index_stack(edge_stack([g]), g.n))
             # edge-swap perturbation preserving m (hence cyclomatic) and
             # connectivity
             for _ in range(50):

@@ -283,6 +283,45 @@ def test_search_witness_dir(tmp_path, capsys):
         assert rep.comparison.value == rec["comparison"]
 
 
+@pytest.fixture
+def failing_sweep(monkeypatch):
+    """verify's sweeps report the first graph of every chunk as failing."""
+
+    def failures(ix):
+        first = fe.graph.graph6_stack(ix.edges[:1], ix.n)
+        return [fe.verify.CheckOutcome("forced", g6, False, "forced") for g6 in first]
+
+    monkeypatch.setattr(fe.verify, "_failures", failures)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "tree", "2..4"], ["search", "family-sweep", "--budget", "3"]],
+    ids=["verify", "search"],
+)
+def test_unwritable_witness_dir_prints_no_summary(argv, failing_sweep, tmp_path, capsys):
+    # the witness files are written before the summary, so a directory that
+    # cannot be written ends the command with exit 2 and nothing on stdout
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    assert main([*argv, "--witness-dir", str(blocker / "sub")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "usage error: cannot write" in err
+
+
+def test_verify_witness_dir_on_failure(failing_sweep, tmp_path, capsys):
+    wdir = tmp_path / "wit"
+    assert main(["verify", "tree", "2..4", "--format", "json", "--witness-dir", str(wdir)]) == 1
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert len(failures) == 3  # levels 2, 3 and 4 are one chunk each
+    records = json.loads((wdir / "witnesses.json").read_text())
+    assert [(r["file"], r["graph6"]) for r in records] == [
+        (f"failure_{i:04d}.edges", f["instance"]) for i, f in enumerate(failures)
+    ]
+    assert fe.to_graph6(fe.parse_edge_list((wdir / "failure_0000.edges").read_text())) == failures[0]["instance"]
+
+
 def test_empty_witness_list(tmp_path, capsys):
     # a budget of 0 names no graph: the list is json.dumps([]) and no edge file is written
     wdir = tmp_path / "wit"

@@ -122,6 +122,34 @@ def test_random_connected_extra_edges():
     assert random_connected(15, seed=0, extra_edges=4) == g
 
 
+# sha256 of the newline-joined graph6 strings of each generator over a grid
+# of its parameters, so a change of vertex labels, or of the random draws a
+# seed makes, shows here.  Each seed of random_connected gives one graph,
+# with or without extra_edges, at every n including 1 and 2
+GENERATOR_DIGESTS = {
+    "dumbbell": "75d372fb2e2817bade1e621b066b2ae37935e1f8c92e12e7033b91281de1c50d",
+    "two_cycles_with_tail": "3ad01f75689298cd1eb893b92ed4aac469e426dd25922052ad2a3e3aa008c835",
+    "random_tree": "04487e4a978c2f8907ed521fc95dd5c3d184b84984ca2ee6d17287389be17b71",
+    "random_connected": "07371577b86e3a24bc03def58e7be0c016c4258c435b9f1f24f8ff100d5b2fdd",
+    "random_connected_extra_edges": "11ddde59036dc02ab353872f738b28c96daff11fa01c764d17e262051c6cff81",
+}
+SEEDED = [(n, seed) for n in (1, 2, 3, 7, 20) for seed in range(300)]
+GENERATOR_GRIDS = {
+    "dumbbell": (dumbbell, list(itertools.product(range(3, 7), range(3, 7), range(5), range(4), range(4)))),
+    "two_cycles_with_tail": (two_cycles_with_tail, list(itertools.product(range(3, 7), range(3, 7), range(2, 8), range(5)))),
+    "random_tree": (random_tree, SEEDED),
+    "random_connected": (random_connected, SEEDED),
+    "random_connected_extra_edges": (lambda n, seed: random_connected(n, seed, extra_edges=2), SEEDED),
+}
+
+
+@pytest.mark.parametrize("name", GENERATOR_DIGESTS)
+def test_generator_labels_are_pinned(name):
+    build, grid = GENERATOR_GRIDS[name]
+    text = "\n".join(fe.to_graph6(build(*params)) for params in grid)
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_DIGESTS[name]
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 

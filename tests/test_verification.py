@@ -120,8 +120,9 @@ def test_sweep_analyses_each_tree_once(monkeypatch):
 
     monkeypatch.setattr(fermatecc.verify, "to_graph6", counting("graph6", fermatecc.verify.to_graph6))
     monkeypatch.setattr(fermatecc.verify, "graph6_stack", encoding)
-    # every module-level name the package looks per-graph APSP up under
-    for module in (fermatecc.verify, fermatecc.indices, fermatecc.fermat, fermatecc.generators):
+    # every module-level name the package looks per-graph APSP up under;
+    # indices imports none, its stacks come from distance_stack
+    for module in (fermatecc.verify, fermatecc.fermat, fermatecc.generators):
         monkeypatch.setattr(module, "all_pairs_distances", counting("apsp", module.all_pairs_distances))
     monkeypatch.setattr(fermatecc.indices, "distance_stack", recording)
     summary = sweep_class(GraphKind.TREE, range(2, 9))
