@@ -17,7 +17,11 @@ max(1, fermat._TABLE // n^2) classes of one level, each row a graph's
 sorted edge list.  Rooted trees are cached as flat int tuples, already
 shifted to where a branch or a hung tree sits, so a class is a
 concatenation of cached tuples, and a chunk is one flat list turned into
-an array and sorted row by row in numpy.  No Graph is built;
+an array and sorted row by row in numpy.  Every free tree is numbered
+in preorder from the root 0, so each vertex v >= 1 has exactly one
+smaller neighbour, its parent; graph.distance_stack relies on that
+parent order to compute a tree chunk's distances without a BFS, and the
+tests pin it.  No Graph is built;
 enumerate_free_trees, enumerate_unicyclic and enumerate_bicyclic turn
 the rows into Graphs for callers that want them.
 
@@ -43,6 +47,7 @@ from .graph import (
     Graph,
     GraphKind,
     all_pairs_distances,
+    bfs_distances,
     bfs_tree,
     classify,
     eccentricities,
@@ -512,9 +517,8 @@ def check_path_rows(t: Graph, d: np.ndarray) -> None:
 
     The other rows are checked only when a decoration invariant fails.
     """
-    own = all_pairs_distances(t)
     for r in _path_ends(d[None]):
-        if not np.array_equal(d[r[0]], own[r[0]]):
+        if not np.array_equal(d[r[0]], bfs_distances(t, int(r[0]))):
             raise PreconditionError("d is not the distance matrix of the tree")
 
 

@@ -1,9 +1,12 @@
 """Core graph representation: construction, parsing, BFS/APSP, classification.
 
 Graphs are undirected, simple, and use dense 0-based integer vertex ids.
-Every distance matrix comes from distance_stack, a bit-parallel BFS from
-all sources of a stack of graphs at once; all_pairs_distances and
-bfs_distances run it on a stack of one.
+Every distance matrix comes from distance_stack on a stack of graphs at
+once; all_pairs_distances runs it on a stack of one.  A stack of trees
+in parent order (each vertex v >= 1 has exactly one smaller neighbour,
+as the tree enumerator labels them) takes a recurrence, row v its
+parent's row plus one; every other stack takes a bit-parallel BFS from
+all sources.  bfs_distances is one BFS from one source.
 graph6 strings (McKay's six-bit format) are encoded and decoded natively.
 """
 
@@ -223,10 +226,17 @@ def bfs_tree(g: Graph, root: int = 0) -> tuple[list[int], list[int]]:
 
 
 def bfs_distances(g: Graph, source: int) -> np.ndarray:
-    """Hop distances from source to every vertex (graph must be connected)."""
+    """Hop distances from source to every vertex as an int64 array, read
+    off bfs_tree in O(n + m) (graph must be connected)."""
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range for n={g.n}")
-    return all_pairs_distances(g)[source]
+    order, parent = bfs_tree(g, source)
+    if len(order) < g.n:
+        raise ConnectivityError("distances require a connected graph")
+    dist = [0] * g.n
+    for v in order[1:]:
+        dist[v] = dist[parent[v]] + 1
+    return np.array(dist, dtype=np.int64)
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
@@ -303,18 +313,70 @@ def _level_planes(tails: np.ndarray, starts: np.ndarray, k: int, n: int) -> list
     return planes
 
 
+def _parent_order(edges: np.ndarray, n: int) -> np.ndarray | None:
+    """The (K, n) parent arrays of a (K, n - 1, 2) edge stack whose every
+    row is a tree in parent order, else None.
+
+    Vertex v's parent is the first end of the edge whose second end is v.
+    A row qualifies when each v >= 1 is the second end of exactly one
+    edge and its parent is smaller than v: then every vertex steps down
+    to 0, so the row is connected, and with n - 1 edges it is a tree.
+    """
+    k = len(edges)
+    parent = np.full((k, n), n, dtype=np.intp)  # n: v is no edge's second end
+    parent[np.arange(k)[:, None], edges[..., 1]] = edges[..., 0]
+    return parent if (parent[:, 1:] < np.arange(1, n)).all() else None
+
+
+def _tree_distances(parent: np.ndarray) -> np.ndarray:
+    """(K, n, n) int32 distances of K trees in parent order.
+
+    The path from x < v to 0 only steps down, so it misses v, and the
+    path from v to x leaves v through its parent p: d(v, x) = d(p, x) + 1.
+    Step v writes d(v, x) for x < v into row v and column v, so before
+    it row p already holds every entry below v, and the step is one
+    gather of row p's first v entries and one add, over all K trees.
+    """
+    k, n = parent.shape
+    d = np.zeros((k, n, n), dtype=np.int32)
+    rows = np.arange(k)
+    for v in range(1, n):
+        row = d[rows, parent[:, v], :v]
+        row += 1
+        d[:, v, :v] = row
+        d[:, :v, v] = row
+    return d
+
+
 def distance_stack(edges: np.ndarray, n: int) -> np.ndarray:
     """(K, n, n) int32 hop distances of the K connected graphs of a (K, m, 2)
     edge stack on n vertices, every source of every graph at once.
 
-    A multi-source bit-parallel BFS (MS-BFS, Then et al., VLDB 2014): the
-    K graphs are laid out as K * n rows, one per vertex, each a bitset of
-    the n sources of its graph.  The arcs are sorted by head once, so each
-    level is one gather of the frontier at every arc's tail, one OR over
-    each head's run of arcs, and a mask with the unreached bits.
-    Distances are kept bit-sliced, one plane per bit of the level number,
-    so memory is (log2(diameter) + 4) bitsets of K * n * n bits plus the
-    gathered arcs, and the planes are decoded once at the end.
+    A stack of trees in parent order (m = n - 1, and in every row each
+    vertex v >= 1 is the second end of exactly one edge, whose first end
+    is smaller) takes the parent recurrence, _tree_distances: n - 1
+    vectorised steps and no BFS.  Against the BFS's one level per unit of
+    diameter it is slower only on shallow trees with many vertices, such
+    as a large star.  Every other stack takes _bfs_stack; one with
+    m != n - 1 pays a single comparison for the choice.
+    """
+    if edges.shape[1] == n - 1 and (parent := _parent_order(edges, n)) is not None:
+        return _tree_distances(parent)
+    return _bfs_stack(edges, n)
+
+
+def _bfs_stack(edges: np.ndarray, n: int) -> np.ndarray:
+    """distance_stack by a multi-source bit-parallel BFS (MS-BFS, Then et
+    al., VLDB 2014), for any stack of connected graphs.
+
+    The K graphs are laid out as K * n rows, one per vertex, each a
+    bitset of the n sources of its graph.  The arcs are sorted by head
+    once, so each level is one gather of the frontier at every arc's
+    tail, one OR over each head's run of arcs, and a mask with the
+    unreached bits.  Distances are kept bit-sliced, one plane per bit of
+    the level number, so memory is (log2(diameter) + 4) bitsets of
+    K * n * n bits plus the gathered arcs, and the planes are decoded
+    once at the end.
     """
     k = len(edges)
     planes = _level_planes(*_arcs_by_head(edges, n), k, n)

@@ -1,4 +1,8 @@
-"""The bit-parallel BFS kernel against networkx, and its connectivity errors."""
+"""The distance kernels against networkx: the parent recurrence on trees
+in parent order, the bit-parallel BFS on every other stack, and the
+BFS's connectivity errors."""
+
+import random
 
 import networkx as nx
 import numpy as np
@@ -8,7 +12,9 @@ from hypothesis import strategies as st
 
 import fermatecc as fe
 from fermatecc import ConnectivityError, all_pairs_distances, full_report
-from fermatecc.graph import distance_stack, edge_stack
+from fermatecc import graph
+from fermatecc.generators import free_tree_chunks
+from fermatecc.graph import distance_stack, edge_stack, row_graph
 
 
 def _networkx_distances(g):
@@ -50,16 +56,83 @@ def test_mixed_stack_matches_networkx(graphs):
         assert np.array_equal(dg, _networkx_distances(g))
 
 
-def test_long_path_needs_nine_planes():
-    # diameter 299 has nine bits, so nine distance planes
-    d = all_pairs_distances(fe.path(300))
-    i = np.arange(300)
+def _spy(monkeypatch, name):
+    """Wrap graph.<name>; the list it returns gets an entry at each call,
+    the call's result once it returns."""
+    results, real = [], getattr(graph, name)
+
+    def spying(*args):
+        results.append(None)
+        results[-1] = real(*args)
+        return results[-1]
+
+    monkeypatch.setattr(graph, name, spying)
+    return results
+
+
+def test_long_path_needs_nine_planes(monkeypatch):
+    # the path 1-2-...-299-0: vertex 1 has no smaller neighbour, so the
+    # path is not in parent order and takes the BFS; diameter 299 has
+    # nine bits, so nine distance planes
+    runs = _spy(monkeypatch, "_level_planes")
+    d = all_pairs_distances(fe.make_graph(300, [(i, i + 1) for i in range(1, 299)] + [(0, 299)]))
+    position = np.roll(np.arange(300), 1)  # vertex v sits at position[v]
+    assert [len(planes) for planes in runs] == [9]
+    assert np.array_equal(d, np.abs(position[:, None] - position[None, :]))
+
+
+def test_long_parent_ordered_path_takes_the_recurrence(monkeypatch):
+    bfs = _spy(monkeypatch, "_bfs_stack")
+    d = all_pairs_distances(fe.path(1500))
+    i = np.arange(1500)
+    assert not bfs
     assert np.array_equal(d, np.abs(i[:, None] - i[None, :]))
+
+
+def test_recurrence_matches_bfs_and_networkx_on_every_enumerated_level(monkeypatch):
+    chunks = list(free_tree_chunks(12))
+    assert [n for n, _ in chunks] == list(range(1, 13))  # one chunk per level
+    bfs = _spy(monkeypatch, "_bfs_stack")
+    stacks = [distance_stack(edges, n) for n, edges in chunks]
+    assert not bfs
+    for (n, edges), d in zip(chunks, stacks):
+        assert d.dtype == np.int32 and np.array_equal(d, graph._bfs_stack(edges, n))
+        for row, dg in zip(edges, d):
+            assert np.array_equal(dg, _networkx_distances(row_graph(row, n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((1, 2, 63, 64, 65, 129)), st.integers(min_value=0, max_value=2**31))
+def test_recurrence_matches_networkx_on_random_parent_arrays(n, seed):
+    rng = random.Random(seed)
+    g = fe.make_graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+    edges = edge_stack([g])
+    assert graph._parent_order(edges, n) is not None
+    assert np.array_equal(distance_stack(edges, n)[0], _networkx_distances(g))
+
+
+# m = n - 1 in every row, but some row has a vertex with no smaller
+# neighbour or two of them
+PATH_AND_RELABELLED_PATH = [fe.path(12), fe.make_graph(12, [(i, i + 1) for i in range(1, 11)] + [(0, 11)])]
+PRUFER_TREES = [fe.random_tree(40, seed=s) for s in range(8)]
+
+
+@pytest.mark.parametrize("graphs", [PATH_AND_RELABELLED_PATH, PRUFER_TREES])
+def test_stacks_out_of_parent_order_take_the_bfs(monkeypatch, graphs):
+    n = graphs[0].n
+    edges = edge_stack(graphs)
+    assert graph._parent_order(edges, n) is None
+    bfs = _spy(monkeypatch, "_bfs_stack")
+    d = distance_stack(edges, n)
+    assert len(bfs) == 1
+    for g, dg in zip(graphs, d):
+        assert np.array_equal(dg, _networkx_distances(g))
 
 
 def test_single_vertex_stack():
     edges = np.zeros((3, 0, 2), dtype=np.intp)
-    assert np.array_equal(distance_stack(edges, 1), np.zeros((3, 1, 1), dtype=np.int32))
+    for kernel in (distance_stack, graph._bfs_stack):
+        assert np.array_equal(kernel(edges, 1), np.zeros((3, 1, 1), dtype=np.int32))
     assert all_pairs_distances(fe.make_graph(1, [])).tolist() == [[0]]
 
 
@@ -80,6 +153,16 @@ def test_disconnected_graphs_raise(g):
     stack = [fe.make_graph(g.n, [(i, (i + 1) % g.n) for i in range(g.m)], strict=False), g]
     with pytest.raises(ConnectivityError):
         distance_stack(edge_stack(stack), g.n)
+
+
+def test_forest_shaped_rows_take_the_bfs(monkeypatch):
+    # m = n - 1, but vertex 2 has two smaller neighbours and 3 has none;
+    # alone, or stacked after a path in parent order
+    bfs = _spy(monkeypatch, "_bfs_stack")
+    for stack in ([TRIANGLE_AND_VERTEX], [fe.path(4), TRIANGLE_AND_VERTEX]):
+        with pytest.raises(ConnectivityError, match="distances require a connected graph"):
+            distance_stack(edge_stack(stack), 4)
+    assert len(bfs) == 2
 
 
 def test_eps3_tree_rejects_a_forest_shaped_graph():

@@ -7,6 +7,7 @@ from collections import defaultdict
 from functools import lru_cache
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,7 @@ from fermatecc import (
     theta,
     two_cycles_with_tail,
 )
-from fermatecc.generators import _automorphisms, _cores, _prufer_decode
+from fermatecc.generators import _automorphisms, _cores, _prufer_decode, free_tree_chunks
 from treeforms import canonical_form
 
 
@@ -193,6 +194,15 @@ def test_free_trees_match_prufer_oracle(n):
     oracle = {canonical_form(n, _prufer_decode(seq, n)) for seq in itertools.product(range(n), repeat=n - 2)}
     enumerated = {canonical_form(g.n, g.edges) for g in _levels(enumerate_free_trees)[n]}
     assert enumerated == oracle
+
+
+def test_free_trees_are_in_parent_order():
+    # graph.distance_stack computes a stack's distances without a BFS only
+    # when every row is in parent order: each edge (u, v) has u < v and
+    # the larger ends are exactly 1..n-1, one edge each
+    for n, edges in free_tree_chunks(12):
+        assert (edges[..., 0] < edges[..., 1]).all()
+        assert (np.sort(edges[..., 1], axis=1) == np.arange(1, n)).all()
 
 
 @pytest.mark.parametrize("n", sorted(UNICYCLIC_COUNTS))

@@ -156,6 +156,20 @@ def test_sweep_grows_each_level_once(monkeypatch):
     assert yields == [sum((1, 1, 2, 3, 6, 11, 23, 47))] == [94]
 
 
+def test_tree_sweep_runs_no_bfs(monkeypatch):
+    # the enumerated trees are in parent order, so their distances come
+    # from the recurrence; a relabelled enumerator would fail here rather
+    # than only slow the sweep down
+    import fermatecc.graph
+
+    def refuse(*args):
+        raise AssertionError("the tree sweep ran the bit-parallel BFS")
+
+    monkeypatch.setattr(fermatecc.graph, "_level_planes", refuse)
+    summary = sweep_class(GraphKind.TREE, range(2, 11))
+    assert summary.passed and summary.instance_count == sum((1, 1, 2, 3, 6, 11, 23, 47, 106))
+
+
 def test_sweep_tree_extremes_names_the_extremal_tree(monkeypatch):
     import fermatecc.indices
     import fermatecc.verify
