@@ -12,15 +12,18 @@ Three interchangeable computation paths:
 * eps3_pruned  -- same values from fewer pairs and fewer candidate Fermat
                   vertices (lemmas A and B below), skipping pairs by
                   exact lower/upper bounds.  Single-threaded: vertices
-                  are visited in BFS order from a centre, each bounded
-                  by the edge-Lipschitz lemma |eps3(u) - eps3(p)| <= 1
-                  against its BFS parent p.  The pair that attained
-                  eps3(p) is tried first; if it reaches eps3(p) + 1 the
-                  bound pass is skipped (the cap exit).  The bound pass
-                  scans only the pairs whose reach (lemma C) beats the
-                  running maximum, keeps those whose landmark bound
-                  (below) beats it too, and evaluates the pairs the
-                  bounds leave open in numpy blocks.
+                  are visited level by level in BFS order from a centre,
+                  each capped by the edge-Lipschitz lemma |eps3(u) -
+                  eps3(p)| <= 1 against its BFS parent p.  Two gathers
+                  per level evaluate every vertex's parent pair, then,
+                  where that closed some vertex, the vertices still open
+                  against the distinct pairs the previous level won; a
+                  vertex where either reaches eps3(p) + 1 is done (the
+                  cap exit).  The rest run a
+                  bound pass each: it scans only the pairs whose reach
+                  (lemma C) beats the running maximum, keeps those whose
+                  landmark bound (below) beats it too, and evaluates the
+                  pairs the bounds leave open in numpy blocks.
 * eps3_tree    -- O(n) per vertex fast path valid on trees only.
 
 eps3_profile picks by size and class: trees take eps3_tree, other graphs
@@ -64,8 +67,6 @@ Its sums never exceed 3 diam + 1, so it holds distances in the
 narrowest signed integer type that fits that (_sum_dtype): int8 up to
 diameter 42, int16 up to diameter 10922, int32 above.
 """
-
-from __future__ import annotations
 
 from typing import NamedTuple
 
@@ -117,6 +118,7 @@ def fermat_vertices(d: np.ndarray, u: int, v: int, w: int) -> tuple[int, ...]:
 # On a stack, a block holds as many whole graphs (n^2 P entries each) as
 # fit.  The sweeps cut each level into chunks of at most _TABLE // n^2
 # graphs, so a chunk's distance stack has no more entries than a table.
+# eps3_pruned's second gather keeps its tables within the same budget.
 # On stacks of unicyclic or bicyclic graphs with n = 9 and 12 and of
 # random graphs with 2 chords and n = 20 and 28 (2-vCPU Xeon VM, best
 # of 5), budgets of 2^18 to 2^20 entries ran within 6% of each other;
@@ -131,11 +133,21 @@ _TABLE = 1 << 18
 # n = 34; on stacks of 60 graphs with equal n and m it took 0.19x at
 # n = 20, 0.57x at n = 28, 0.83x at n = 32 and 1.21x at n = 36.  Denser
 # graphs (n/4 or n chords) and tadpoles favour the oracle more, 0.29-0.75x
-# at n = 24-34, as the oracle's time depends on n alone.  28 keeps a
-# margin below the sparse graphs' crossover at about 33: at these sizes
-# the pruned kernel's per-vertex Python work, not its pair count, sets its
-# time.
+# at n = 24-34, as the oracle's time depends on n alone.  With eps3_pruned
+# walking BFS levels (same VM and method, 30 graphs per size, best of 9)
+# the oracle took 0.41x at n = 24, 0.59x at n = 28, 0.71x at n = 30, 0.92x
+# at n = 32, 1.03x at n = 34 and 1.28x at n = 36.  28 keeps a margin below
+# the sparse graphs' crossover at about 33: at these sizes the pruned
+# kernel's per-level and per-vertex Python work, not its pair count, sets
+# its time.
 _ORACLE_MAX_N = 28
+
+
+def _blocks(rows: int, width: int) -> list[slice]:
+    """Slices that cut rows of width entries each into blocks of at most
+    _TABLE entries, at least one row per block."""
+    step = max(1, _TABLE // width)
+    return [slice(i, i + step) for i in range(0, rows, step)]
 
 
 def _oracle_eps3(d: np.ndarray, witnesses: bool = False):
@@ -159,13 +171,10 @@ def _oracle_eps3(d: np.ndarray, witnesses: bool = False):
     dt = d.astype(_sum_dtype(3 * int(d.max())))
     eps = np.empty((k_all, n), dtype=np.int64)
     arg = np.empty((k_all, n), dtype=np.intp) if witnesses else None
-    per_table = _TABLE // (n * n * pairs)
-    if per_table:
-        blocks = [(slice(k, k + per_table), [slice(None)]) for k in range(0, k_all, per_table)]
+    if n * n * pairs <= _TABLE:
+        blocks = [(ks, [slice(None)]) for ks in _blocks(k_all, n * n * pairs)]
     else:
-        step = max(1, _TABLE // (n * pairs))
-        sources = [slice(start, start + step) for start in range(0, n, step)]
-        blocks = [(slice(k, k + 1), sources) for k in range(k_all)]
+        blocks = [(slice(k, k + 1), _blocks(n, n * pairs)) for k in range(k_all)]
     for ks, source_blocks in blocks:
         dk = dt[ks]
         pw = dk[:, :, iv]  # pw[k, s, p] = d[s, iv[p]] + d[s, iw[p]]
@@ -297,25 +306,48 @@ def eps3_pruned(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
     are held in the narrowest signed integer type that holds 3 diam + 1
     (_sum_dtype), which bounds every sum here: int8 up to diameter 42.
 
-    Vertices are visited in BFS order from a centre, the vertex of least
-    eccentricity with the smallest id: eps3 tends to rise away from it,
-    so more vertices take the cap exit below.  Across an edge every
-    pair's Fermat distance changes by at most 1, so eps3(u) is within 1
-    of eps3(p), p being u's BFS parent and already done.  At u the pair
-    that attained eps3(p) is evaluated first, over every vertex: for one
-    pair a full column sum is cheaper than the terminal sums lemma B
-    needs.  If it reaches the cap eps3(p) + 1, that is eps3(u) (the cap
-    exit).  Otherwise the running maximum starts at the larger of that
-    probe and the largest lower bound over the kept pairs, and stops at
-    the cap.  The lower bound is the ceiling of half the pairwise-distance
-    perimeter; it never exceeds the landmark bound, so no pair left out
-    holds a larger one.  The kept pairs whose upper bound still beats it are
-    evaluated exactly in blocks of _BLOCK, highest lower bound first,
-    and filtered again after each raise.
-    pair_evaluations counts each probe and every pair of every
-    evaluated block, pairs of S only, so where the probe never reaches
-    the cap (a cycle with a long tail, whose eps3 stays level) it adds
-    one evaluation per vertex.
+    Vertices are visited level by level in BFS order from a centre, the
+    vertex of least eccentricity with the smallest id: eps3 tends to rise
+    away from it, so more vertices take the cap exit below.  Across an
+    edge every pair's Fermat distance changes by at most 1, so eps3(u) is
+    within 1 of eps3(p), p being u's BFS parent, one level up and already
+    done: eps3(p) + 1 caps eps3(u).  The centre's cap is 2 ecc, the sum
+    through the centre itself.  Each level takes two gathers, the level
+    batching of multi-source BFS (Then et al., VLDB 2014).  The first
+    evaluates each vertex's parent pair, the pair that attained eps3(p),
+    over every vertex, for the whole level at once: for one pair a full
+    column sum is cheaper than the terminal sums lemma B needs.  A vertex
+    where it reaches the cap is done (the cap exit).  The second
+    evaluates the vertices still open against the distinct pairs that
+    attained eps3 at the previous level, exact in the same way, in tables
+    of at most _TABLE entries (at least one vertex each), and at the cap
+    a vertex is done too.  It runs only on a level where the first closed
+    some vertex: on search family-sweep's graphs above 28 vertices, whose
+    thetas and tailed cycles keep eps3 level, it closed none of 1,123
+    open vertices in 385 levels without that condition.  Where one pair
+    won the previous level, it is every vertex's parent pair, and the
+    second gather is skipped too.  Only the vertices still below their
+    cap run a bound pass: the running maximum starts at the larger of
+    their gathered value and the largest lower bound over the kept
+    pairs, and stops at the cap.  The lower bound is the ceiling of
+    half the pairwise-distance perimeter; it never exceeds the landmark
+    bound, so no pair left out holds a larger one.  The kept pairs whose
+    upper bound still beats it are evaluated exactly in blocks of
+    _BLOCK, highest lower bound first, and filtered again after each
+    raise.
+
+    pair_evaluations counts every pair evaluated exactly, pairs of S
+    only: one per vertex but the centre in the first gather, each open
+    vertex times the pairs in the second, and every pair of every
+    evaluated block.  On relabelling 0 of the benchmark's 400-vertex,
+    439-edge graph (14 levels, up to 60 vertices wide), 92 vertices run
+    a bound pass against 112 when each vertex was probed with its parent
+    pair alone, and pair_evaluations is 2,241 against 1,875: the second
+    gather adds more pairs than the bound passes it saves, but a level
+    costs a few numpy calls where each vertex cost one or more.  Where
+    the first gather never reaches the cap (a cycle with a long tail,
+    whose eps3 stays level) it adds one evaluation per vertex, and the
+    second does not run.
     """
     if d is None:
         d = all_pairs_distances(g)
@@ -349,61 +381,87 @@ def eps3_pruned(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
     # np.take keeps C order, where dm[:, iu] is F-ordered: the landmark
     # bound over 13k pairs took 9 us on C order against 670 us on F order
     gm = np.take(dm, iu, axis=1) + np.take(dm, iw, axis=1)
-    # stops[b + 1] counts the pairs with reach > b, b = -1 .. 2 diam.  best
-    # is a pair's exact value or lower bound, never above its reach, so
-    # b = best fits
+    # stops[b + 1] counts the pairs with reach > b, b = -1 .. 2 diam.  A
+    # bound pass's running maximum b is a pair's exact value or lower
+    # bound, never above its reach, so it fits
     stops = key.searchsorted(-np.arange(-1, 2 * diam + 1, dtype=t)).tolist()
-    eps = [0] * n
+    eps = np.zeros(n, dtype=np.int64)
     # per vertex, the index into (iu, iw) of one pair whose exact value is eps[u]
-    arg = [0] * n
+    arg = np.zeros(n, dtype=np.intp)
     evals = 0
-    for u in order:
-        du, dhu = dn[u], dh[u]
-        best, cap, k = -1, None, 0
-        p = parent[u]
-        if p >= 0:
-            # the parent's pair, exact at u: >= eps[p] - 1, and at the cap it is eps[u]
-            k, cap = arg[p], eps[p] + 1
-            best = int((du + dn[iu[k]] + dn[iw[k]]).min())
-            evals += 1
-        if best == cap:
-            arg[u], eps[u] = k, best
-            continue
-        # only the pairs with reach > best can raise best (lemma C), and of
-        # those only the ones whose landmark bound beats it; d is symmetric,
-        # so dm[:, u] is d(u, h).  A pair with lb > best has ubl >= lb, so
-        # the pairs left out hold none that could raise best
-        j = stops[best + 1]
-        ubl = (dm[:, u, None] + gm[:, :j]).min(axis=0)
-        pairs = np.flatnonzero(ubl > best)
-        if pairs.size:
-            pv, pw, pvw = du[iu[pairs]], du[iw[pairs]], dvw[pairs]
-            lb = (pv + pw + pvw + 1) >> 1
-            ub = np.minimum(np.minimum(pv + pw, np.minimum(pv, pw) + pvw), ubl[pairs])
-            # if best ends at lb.max(), that pair attains it; best >= every
-            # tight pair's exact value, so each pair with ub > best has lb < ub
-            top = int(lb.argmax())
-            if lb[top] > best:
-                best, k = int(lb[top]), int(pairs[top])
-            # positions into pairs, lb and ub
-            cand = np.flatnonzero(ub > best)
-            while cand.size and best != cap:
-                if cand.size > _BLOCK:
-                    part = np.argpartition(-lb[cand], _BLOCK - 1)
-                    blk, cand = cand[part[:_BLOCK]], cand[part[_BLOCK:]]
-                else:
-                    blk, cand = cand, cand[:0]
-                evals += blk.size
-                # ub's landmark term bounds F from above too, so the minimum
-                # stays exact; d is symmetric, so rows stand in for columns
-                at = pairs[blk]
-                vals = np.minimum(ub[blk], (dhu + dh[iu[at]] + dh[iw[at]]).min(axis=1))
-                top = int(vals.argmax())
-                if vals[top] > best:
-                    best, k = int(vals[top]), int(at[top])
-                    cand = cand[ub[cand] > best]
-        arg[u], eps[u] = k, best
-    return FermatProfile(eps3=tuple(eps), pair_evaluations=evals)
+    order, parent = np.array(order), np.array(parent)
+    # order lists the BFS levels one after another; d(centre, .) counts them
+    ends_at = np.bincount(d[order[0]]).cumsum().tolist()
+    for start, end in zip([0, *ends_at], ends_at):
+        us = order[start:end]
+        if not start:
+            # the centre has no parent; F(u, v, w) <= d(u, v) + d(u, w), through
+            # u itself, caps it at 2 ecc(u)
+            best, caps = np.array([-1]), 2 * ecc[us].astype(np.int64)
+            ks, rest = np.zeros(1, dtype=np.intp), np.arange(1)
+        else:
+            # gather 1: each vertex's parent pair, exact at u over every vertex
+            # (for one pair a full column sum is cheaper than the terminal sums
+            # lemma B needs): >= eps[p] - 1, and at the cap eps[p] + 1 it is eps[u].
+            # won keeps the pairs the previous level won
+            pu = parent[us]
+            won, ks, caps = ks, arg[pu], eps[pu] + 1
+            best = (dn[us] + dn[iu[ks]] + dn[iw[ks]]).min(axis=1)
+            evals += us.size
+            rest = (best < caps).nonzero()[0]
+            # gather 2: the vertices still open against the distinct pairs won at
+            # the previous level, exact in the same way, on a level where gather
+            # 1 closed some vertex.  Where one pair won there, it is every
+            # vertex's parent pair, already evaluated.  A set, as np.unique
+            # loads numpy.ma on its first call, about 40 ms cold
+            if 0 < rest.size < us.size and (won := np.array(sorted(set(won.tolist())))).size > 1:
+                sums, ou = dn[iu[won]] + dn[iw[won]], us[rest]
+                vals = np.concatenate([(dn[ou[r], None] + sums).min(axis=2) for r in _blocks(ou.size, sums.size)])
+                evals += vals.size
+                # won holds each vertex's parent pair, so no value falls
+                top = vals.argmax(axis=1)
+                best[rest], ks[rest] = vals[np.arange(rest.size), top], won[top]
+                rest = rest[best[rest] < caps[rest]]
+        # the bound pass, on the vertices still below their cap only
+        for i in rest.tolist():
+            u, b, k, cap = int(us[i]), int(best[i]), int(ks[i]), int(caps[i])
+            du, dhu = dn[u], dh[u]
+            # only the pairs with reach > b can raise b (lemma C), and of those
+            # only the ones whose landmark bound beats it; d is symmetric, so
+            # dm[:, u] is d(u, h).  A pair with lb > b has ubl >= lb, so the
+            # pairs left out hold none that could raise b
+            j = stops[b + 1]
+            ubl = (dm[:, u, None] + gm[:, :j]).min(axis=0)
+            pairs = (ubl > b).nonzero()[0]
+            if pairs.size:
+                pv, pw, pvw = du[iu[pairs]], du[iw[pairs]], dvw[pairs]
+                lb = (pv + pw + pvw + 1) >> 1
+                ub = np.minimum(np.minimum(pv + pw, np.minimum(pv, pw) + pvw), ubl[pairs])
+                # if b ends at lb.max(), that pair attains it; b >= every tight
+                # pair's exact value, so each pair with ub > b has lb < ub
+                top = int(lb.argmax())
+                if lb[top] > b:
+                    b, k = int(lb[top]), int(pairs[top])
+                # positions into pairs, lb and ub
+                cand = (ub > b).nonzero()[0]
+                while cand.size and b != cap:
+                    if cand.size > _BLOCK:
+                        part = np.argpartition(-lb[cand], _BLOCK - 1)
+                        blk, cand = cand[part[:_BLOCK]], cand[part[_BLOCK:]]
+                    else:
+                        blk, cand = cand, cand[:0]
+                    evals += blk.size
+                    # ub's landmark term bounds F from above too, so the minimum
+                    # stays exact; d is symmetric, so rows stand in for columns
+                    at = pairs[blk]
+                    vals = np.minimum(ub[blk], (dhu + dh[iu[at]] + dh[iw[at]]).min(axis=1))
+                    top = int(vals.argmax())
+                    if vals[top] > b:
+                        b, k = int(vals[top]), int(at[top])
+                        cand = cand[ub[cand] > b]
+            best[i], ks[i] = b, k
+        eps[us], arg[us] = best, ks
+    return FermatProfile(eps3=tuple(eps.tolist()), pair_evaluations=evals)
 
 
 def _tree_eps3(d: np.ndarray) -> np.ndarray:

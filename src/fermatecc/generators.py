@@ -30,14 +30,13 @@ counterexample families are evaluated in exact rational arithmetic; only
 their signs are checked, and no graph here realises them yet.
 """
 
-from __future__ import annotations
-
 import random
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, combinations_with_replacement, islice, product
+from numbers import Rational
 from operator import itemgetter, sub
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -55,9 +54,6 @@ from .graph import (
     make_graph,
     row_graph,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +594,7 @@ def _invariant_failed(t: Graph, d: np.ndarray, message: str) -> None:
 # fractions is loaded on the first call; no other command needs it.
 
 
-def bicyclic_delta_formula(x: int) -> Fraction:
+def bicyclic_delta_formula(x: int) -> Rational:
     """(-x^3/2 + 31x^2 + 173x + 55) / ((3x+6)(3x+7)), exactly, for x >= 0.
 
     The closed form stated for the bicyclic counterexample family.  What
@@ -615,7 +611,7 @@ def bicyclic_delta_formula(x: int) -> Fraction:
     return num / den
 
 
-def multicyclic_delta_formula(k: int, x: int) -> Fraction:
+def multicyclic_delta_formula(k: int, x: int) -> Rational:
     """The k-cycle family's rational function of x, exactly, for k >= 3 and x >= 0.
 
     ((-k^2/6 - 26k/3) x^3 + (8k^2 - 54k) x^2 + (121k^2/6 - 226k/3) x

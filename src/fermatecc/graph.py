@@ -10,8 +10,6 @@ all sources.  bfs_distances is one BFS from one source.
 graph6 strings (McKay's six-bit format) are encoded and decoded natively.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from functools import cached_property
 from math import isqrt

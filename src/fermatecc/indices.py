@@ -17,8 +17,6 @@ of F2/m against F1/n is decided by the sign of the integer n*F2 - m*F1,
 in Python ints, never floats.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from itertools import groupby, islice
 from typing import Iterator, NamedTuple
@@ -186,6 +184,9 @@ def index_chunks(graphs) -> Iterator[tuple[list[Graph], IndexStack]]:
 
 def full_report(g: Graph, d: np.ndarray | None = None) -> IndexReport:
     """All six indices plus the comparison: index_stack on a stack of one."""
-    if d is not None and not is_connected(g):  # distance_stack checks it otherwise
-        raise ConnectivityError("full_report requires a connected graph")
+    if d is not None:  # distance_stack checks connectivity otherwise
+        if d.shape != (g.n, g.n):
+            raise PreconditionError(f"full_report needs a distance matrix of shape {(g.n, g.n)}, got {d.shape}")
+        if not is_connected(g):
+            raise ConnectivityError("full_report requires a connected graph")
     return index_stack(edge_stack([g]), g.n, None if d is None else d[None]).report(0)

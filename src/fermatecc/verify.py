@@ -21,8 +21,6 @@ inequality; all but random-walk, whose next graph depends on the last
 one, analyse their streams in the same chunks.
 """
 
-from __future__ import annotations
-
 import random
 from functools import partial
 from itertools import groupby, islice

@@ -284,6 +284,48 @@ def test_pruned_agrees_above_the_oracle_cutoff(g):
     assert prof.eps3 == eps3_oracle(g, d).eps3, fe.to_graph6(g)
 
 
+def _level_walk_shapes():
+    """Non-trees above the oracle's size limit that shape eps3_pruned's BFS levels."""
+    # wide levels: 40 legs of two vertices on vertex 0 with 3 chords between
+    # leg tips (levels of 40 vertices), and K_{2,40}
+    spider = _spider(40, 2)
+    yield pytest.param(fe.make_graph(spider.n, [*spider.edges, (2, 4), (6, 8), (10, 12)]), id="spider-40-legs")
+    yield pytest.param(fe.make_graph(42, [(h, v) for h in (0, 1) for v in range(2, 42)]), id="k-2-40")
+    # one or two vertices per level: a path with a chord under a random
+    # relabelling (tadpoles above the limit are in the spider and tadpole test)
+    path_chord = fe.make_graph(40, [*((i, i + 1) for i in range(39)), (10, 13)])
+    yield pytest.param(_relabel(path_chord, np.random.default_rng(0).permutation(40).tolist()), id="path-chord")
+    # a centre tied with every other vertex: theta(10, 10, 10), whose
+    # vertices all have eccentricity 10, as labelled and relabelled
+    theta = fe.theta(10, 10, 10)
+    yield pytest.param(theta, id="theta-10-10-10")
+    yield pytest.param(_relabel(theta, np.random.default_rng(1).permutation(theta.n).tolist()), id="theta-relabelled")
+    # a long cycle: eps3 is level, so the first gather reaches no cap, the
+    # second never runs and every vertex runs a bound pass
+    yield pytest.param(fe.cycle(120), id="cycle-120")
+
+
+@pytest.mark.parametrize("g", _level_walk_shapes())
+def test_level_walk_agrees_with_the_oracle(g):
+    assert g.m >= g.n and g.n > fe.fermat._ORACLE_MAX_N
+    d = all_pairs_distances(g)
+    prof = eps3_profile(g, d)
+    assert prof.pair_evaluations is not None  # the pruned path ran
+    assert prof.eps3 == eps3_oracle(g, d).eps3, fe.to_graph6(g)
+
+
+def test_pruned_pair_evaluations_on_the_benchmark_graph(monkeypatch):
+    # perfbench's compute_large graph, relabelling 0: 400 vertices, 439
+    # edges.  Each pair evaluated exactly counts, in the first gather, the
+    # second and the bound passes; a change to the level walk that changes
+    # this figure changes what the benchmark's pair_evaluations reads
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from workloads import build_graph
+
+    g = fe.make_graph(400, build_graph(400, 40, 0))
+    assert eps3_pruned(g).pair_evaluations == 2241
+
+
 @pytest.mark.parametrize("seed", [1, 7, 90])
 def test_pruned_agrees_on_the_benchmark_structure(seed, monkeypatch):
     # perfbench's compute_large graph at n = 60: one random spanning tree
@@ -310,6 +352,25 @@ def test_pruned_agrees_with_small_blocks(block, monkeypatch):
         g = fe.random_connected(5 + seed % 20, seed=seed, extra_edges=seed % 9)
         d = all_pairs_distances(g)
         assert eps3_pruned(g, d).eps3 == eps3_oracle(g, d).eps3, seed
+
+
+@pytest.mark.parametrize("table", [1, 1000])
+def test_pruned_gather_tables_change_nothing(table, monkeypatch):
+    # the second gather cuts its open vertices into tables of at most
+    # _TABLE entries, at least one vertex each: a table of 1 takes one
+    # vertex at a time, and 1000 a few.  Values and evaluations must not
+    # depend on the cut
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from workloads import build_graph
+
+    graphs = [fe.make_graph(60, build_graph(60, 8, seed)) for seed in (1, 7, 90)]
+    graphs += [param.values[0] for param in _level_walk_shapes()]
+    for g in graphs:
+        d = all_pairs_distances(g)
+        whole = eps3_pruned(g, d)
+        with monkeypatch.context() as m:
+            m.setattr(fe.fermat, "_TABLE", table)
+            assert eps3_pruned(g, d) == whole, fe.to_graph6(g)
 
 
 @pytest.mark.parametrize("landmarks", [1, 1000])

@@ -80,3 +80,11 @@ def test_full_report_rejects_disconnected_graph_with_supplied_d():
     g = fe.make_graph(4, [(0, 1), (1, 2), (0, 2)], strict=False)
     with pytest.raises(fe.ConnectivityError):
         full_report(g, fe.all_pairs_distances(fe.path(4)))
+
+
+@pytest.mark.parametrize("wrong", [7, 3])
+def test_full_report_rejects_a_supplied_d_of_another_size(wrong):
+    # unchecked, a 7 x 7 matrix gives path(5) a report (F1 = 252) and a
+    # 3 x 3 one an IndexError; both are the caller's fault
+    with pytest.raises(PreconditionError, match=r"of shape \(5, 5\), got \(%d, %d\)" % (wrong, wrong)):
+        full_report(fe.path(5), fe.all_pairs_distances(fe.path(wrong)))
