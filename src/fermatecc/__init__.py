@@ -58,9 +58,6 @@ from .indices import (
     IndexReport,
     compare_averages,
     full_report,
-    zagreb_classic,
-    zagreb_eccentricity,
-    zagreb_fermat,
 )
 from .verify import (
     CheckOutcome,

@@ -72,8 +72,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConnectivityError, PreconditionError
-from .graph import Graph, all_pairs_distances, bfs_tree, eccentricities, is_connected, row_graph
+from .errors import PreconditionError
+from .graph import Graph, bfs_tree, distance_matrix, eccentricities, row_graph
 
 
 class FermatWitness(NamedTuple):
@@ -204,10 +204,7 @@ def eps3_oracle(
     Witnesses, when requested, pick the lexicographically smallest
     maximising (v, w) and then the smallest minimising Fermat vertex.
     """
-    if d is None:
-        d = all_pairs_distances(g)
-    elif not is_connected(g):  # all_pairs_distances checks it otherwise
-        raise ConnectivityError("eps3_oracle requires a connected graph")
+    d = distance_matrix(g, d)
     eps, arg = _oracle_eps3(d[None], witnesses)
     eps = eps[0]
     if not witnesses:
@@ -349,13 +346,10 @@ def eps3_pruned(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
     whose eps3 stays level) it adds one evaluation per vertex, and the
     second does not run.
     """
-    if d is None:
-        d = all_pairs_distances(g)
+    d = distance_matrix(g, d)
     n = g.n
     ecc = eccentricities(d)
     order, parent = bfs_tree(g, int(ecc.argmin()))  # a centre, the smallest id
-    if len(order) < n:
-        raise ConnectivityError("eps3_pruned requires a connected graph")
     ends, hubs = _pair_ends_and_hubs(g)
     # no sum below exceeds 3 diam + 1 (lb's numerator), nor -reach 2 diam
     diam = int(ecc.max())
@@ -483,9 +477,7 @@ def eps3_tree(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
     """Tree fast path: fix one eccentric endpoint, scan the second (see _tree_eps3)."""
     if g.m != g.n - 1:  # a connected graph is a tree iff m = n - 1
         raise PreconditionError("eps3_tree requires a tree")
-    if d is None:
-        d = all_pairs_distances(g)
-    return FermatProfile(eps3=tuple(_tree_eps3(d[None])[0].tolist()))
+    return FermatProfile(eps3=tuple(_tree_eps3(distance_matrix(g, d)[None])[0].tolist()))
 
 
 def eps3_stack(edges: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -512,8 +504,6 @@ def eps3_profile(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
     The size cut-off is measured (see _ORACLE_MAX_N); every path gives
     the same values.
     """
-    if d is None:
-        d = all_pairs_distances(g)
     if g.m == g.n - 1:
         return eps3_tree(g, d)
     if g.n <= _ORACLE_MAX_N:

@@ -49,6 +49,7 @@ from .graph import (
     bfs_distances,
     bfs_tree,
     classify,
+    distance_matrix,
     eccentricities,
     edge_stack,
     make_graph,
@@ -570,10 +571,8 @@ def decorate_tree(t: Graph, d: np.ndarray | None = None) -> TreeDecoration:
     (decorate_stack on a stack of one)."""
     if classify(t).kind is not GraphKind.TREE:
         raise PreconditionError("decorate_tree requires a tree")
-    if d is None:
-        d = all_pairs_distances(t)
-    else:
-        check_path_rows(t, d)
+    d = distance_matrix(t, d)
+    check_path_rows(t, d)
     return decorate_stack(edge_stack([t]), d[None]).decoration(0)
 
 

@@ -2,12 +2,20 @@
 
 Graphs are undirected, simple, and use dense 0-based integer vertex ids.
 Every distance matrix comes from distance_stack on a stack of graphs at
-once; all_pairs_distances runs it on a stack of one.  A stack of trees
-in parent order (each vertex v >= 1 has exactly one smaller neighbour,
-as the tree enumerator labels them) takes a recurrence, row v its
-parent's row plus one; every other stack takes a bit-parallel BFS from
-all sources.  bfs_distances is one BFS from one source.
+once; distance_matrix runs it on a stack of one, and all_pairs_distances
+widens that to int64.  A stack of trees in parent order (each vertex
+v >= 1 has exactly one smaller neighbour, as the tree enumerator labels
+them) takes a recurrence, row v its parent's row plus one; every other
+stack takes a bit-parallel BFS from all sources.  bfs_distances is one
+BFS from one source.
 graph6 strings (McKay's six-bit format) are encoded and decoded natively.
+
+Every per-graph function that takes a distance matrix d (the four eps3
+paths, eccentricity2_profile, full_report, decorate_tree and
+check_diametrical_lemmas) takes it through distance_matrix: d None is
+computed, and a supplied d is checked for its shape (n, n) and for the
+graph's connectivity.  Its entries are the caller's promise; trees are
+also spot-checked on two rows by generators.check_path_rows.
 """
 
 from enum import Enum
@@ -17,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConnectivityError, ParseError, ValidationError
+from .errors import ConnectivityError, ParseError, PreconditionError, ValidationError
 
 
 class GraphKind(Enum):
@@ -111,11 +119,12 @@ def is_connected(g: Graph) -> bool:
     return len(bfs_tree(g)[0]) == g.n
 
 
-def parse_edge_list(text: str, strict: bool = True) -> Graph:
+def parse_edge_list(text: str) -> Graph:
     """Parse the line-oriented edge-list format.
 
     First non-comment line holds the vertex count n, each following line
-    one "u v" pair.  '#' starts a comment, blank lines are ignored.
+    one "u v" pair.  '#' starts a comment, blank lines are ignored.  The
+    graph must be connected.
     """
     n = None
     edges = []
@@ -141,7 +150,7 @@ def parse_edge_list(text: str, strict: bool = True) -> Graph:
         edges.append((u, v))
     if n is None:
         raise ParseError("empty input: missing vertex count line")
-    return make_graph(n, edges, strict=strict)
+    return make_graph(n, edges)
 
 
 def to_edge_list(g: Graph) -> str:
@@ -238,8 +247,20 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
-    """n x n int64 matrix of hop distances: distance_stack on a stack of one."""
-    return distance_stack(edge_stack([g]), g.n)[0].astype(np.int64)
+    """n x n int64 matrix of hop distances: distance_matrix's, widened."""
+    return distance_matrix(g).astype(np.int64)
+
+
+def distance_matrix(g: Graph, d: np.ndarray | None = None) -> np.ndarray:
+    """The distance matrix a per-graph function works on: with d None,
+    g's int32 hop distances (distance_stack on a stack of one), else the
+    caller's d once its shape is (n, n) and g is connected."""
+    if d is None:
+        return distance_stack(edge_stack([g]), g.n)[0]
+    if d.shape != (g.n, g.n):
+        raise PreconditionError(f"d must be a distance matrix of shape {(g.n, g.n)}, got {d.shape}")
+    _require_connected(g)
+    return d
 
 
 def edge_stack(graphs) -> np.ndarray:
@@ -428,9 +449,7 @@ def eccentricities(d: np.ndarray) -> np.ndarray:
 
 def eccentricity2_profile(g: Graph, d: np.ndarray | None = None) -> Ecc2Profile:
     """Ordinary eccentricities plus radius, diameter and center set."""
-    if d is None:
-        d = all_pairs_distances(g)
-    ecc = eccentricities(d)
+    ecc = eccentricities(distance_matrix(g, d))
     radius = int(ecc.min())
     diameter = int(ecc.max())
     center = tuple(int(u) for u in np.flatnonzero(ecc == radius))

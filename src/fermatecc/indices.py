@@ -11,10 +11,10 @@ search exhaustive-small hand it the enumerators' edge-array chunks
 directly; index_chunks cuts any other Graph stream (the family grid,
 witness files) into chunks of the same size, at most fermat._TABLE
 distance entries each, so each list the package analyses is held a
-chunk at a time.  A single graph is a chunk of one: full_report and the
-zagreb_* functions run the same code on a stack of one.  The comparison
-of F2/m against F1/n is decided by the sign of the integer n*F2 - m*F1,
-in Python ints, never floats.
+chunk at a time.  A single graph is a chunk of one: full_report runs
+the same code on a stack of one.  The comparison of F2/m against F1/n
+is decided by the sign of the integer n*F2 - m*F1, in Python ints,
+never floats.
 """
 
 from enum import Enum
@@ -24,19 +24,18 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import fermat
-from .errors import ConnectivityError, PreconditionError
-from .fermat import FermatProfile, eps3_stack
+from .errors import PreconditionError
+from .fermat import eps3_stack
 from .graph import (
     Graph,
     GraphKind,
     cyclomatic_kind,
     degree_stack,
+    distance_matrix,
     distance_stack,
     eccentricities,
-    eccentricity2_profile,
     edge_ends,
     edge_stack,
-    is_connected,
 )
 
 
@@ -65,26 +64,6 @@ def _zagreb(x: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = x.astype(np.int64, copy=False)
     ends = edge_ends(x, edges)
     return (x * x).sum(axis=1), (ends[..., 0] * ends[..., 1]).sum(axis=1)
-
-
-def _zagreb_one(g: Graph, x) -> tuple[int, int]:
-    s1, s2 = _zagreb(np.array([x], dtype=np.int64).reshape(1, g.n), edge_stack([g]))
-    return int(s1[0]), int(s2[0])
-
-
-def zagreb_fermat(g: Graph, p: FermatProfile) -> tuple[int, int]:
-    """F1 = sum of eps3(u)^2 over vertices, F2 = sum of eps3(u)*eps3(v) over edges."""
-    return _zagreb_one(g, p.eps3)
-
-
-def zagreb_eccentricity(g: Graph, d: np.ndarray | None = None) -> tuple[int, int]:
-    """E1/E2: the same sums with ordinary eccentricity."""
-    return _zagreb_one(g, eccentricity2_profile(g, d).ecc)
-
-
-def zagreb_classic(g: Graph) -> tuple[int, int]:
-    """Z1/Z2: the same sums with vertex degree."""
-    return _zagreb_one(g, degree_stack(edge_stack([g]), g.n)[0])
 
 
 def compare_averages(n: int, m: int, f1: int, f2: int) -> Comparison:
@@ -184,9 +163,4 @@ def index_chunks(graphs) -> Iterator[tuple[list[Graph], IndexStack]]:
 
 def full_report(g: Graph, d: np.ndarray | None = None) -> IndexReport:
     """All six indices plus the comparison: index_stack on a stack of one."""
-    if d is not None:  # distance_stack checks connectivity otherwise
-        if d.shape != (g.n, g.n):
-            raise PreconditionError(f"full_report needs a distance matrix of shape {(g.n, g.n)}, got {d.shape}")
-        if not is_connected(g):
-            raise ConnectivityError("full_report requires a connected graph")
-    return index_stack(edge_stack([g]), g.n, None if d is None else d[None]).report(0)
+    return index_stack(edge_stack([g]), g.n, distance_matrix(g, d)[None]).report(0)

@@ -45,9 +45,9 @@ from .generators import (
 from .graph import (
     Graph,
     GraphKind,
-    all_pairs_distances,
     classify,
     degree_stack,
+    distance_matrix,
     edge_ends,
     edge_stack,
     graph6_stack,
@@ -55,7 +55,7 @@ from .graph import (
     make_graph,
     to_graph6,
 )
-from .indices import Comparison, IndexStack, full_report, index_chunks, index_stack
+from .indices import Comparison, IndexReport, IndexStack, full_report, index_chunks, index_stack
 
 
 class CheckOutcome(NamedTuple):
@@ -244,6 +244,22 @@ def _single(name: str, g: Graph, lemma) -> CheckOutcome:
     return _outcome(name, g, lemma[1](0))
 
 
+def _vertex_values(g: Graph, eps3) -> np.ndarray:
+    """A caller's eps3 of g as a stack of one, one entry per vertex."""
+    if len(eps3) != g.n:
+        raise PreconditionError(f"eps3 must have {g.n} entries, one per vertex, got {len(eps3)}")
+    return np.array(eps3, dtype=np.int64).reshape(1, g.n)
+
+
+def _report_of(g: Graph, report: IndexReport | None) -> IndexReport:
+    """g's full_report, or a caller's report of a graph with g's n and m."""
+    if report is None:
+        return full_report(g)
+    if (report.n, report.m) != (g.n, g.m):
+        raise PreconditionError(f"report of a graph with (n, m) = {(report.n, report.m)}, not {(g.n, g.m)}")
+    return report
+
+
 # ---------------------------------------------------------------------------
 # the per-graph checks: each lemma on a stack of one
 
@@ -252,8 +268,7 @@ def check_edge_lipschitz(g: Graph, eps3=None) -> CheckOutcome:
     """|eps3(u) - eps3(v)| <= 1 across every edge."""
     if eps3 is None:
         eps3 = eps3_profile(g).eps3
-    eps = np.array(eps3, dtype=np.int64).reshape(1, g.n)
-    return _single("edge_lipschitz", g, _edge_lipschitz(eps, edge_stack([g])))
+    return _single("edge_lipschitz", g, _edge_lipschitz(_vertex_values(g, eps3), edge_stack([g])))
 
 
 def check_diametrical_lemmas(t: Graph, d: np.ndarray | None = None, eps3=None) -> CheckOutcome:
@@ -261,13 +276,11 @@ def check_diametrical_lemmas(t: Graph, d: np.ndarray | None = None, eps3=None) -
     and the subtree-depth bound along a decorated diametrical path."""
     if classify(t).kind is not GraphKind.TREE:
         raise PreconditionError("check_diametrical_lemmas requires a tree")
-    if d is None:
-        d = all_pairs_distances(t)
-    else:
-        check_path_rows(t, d)
+    d = distance_matrix(t, d)
+    check_path_rows(t, d)
     if eps3 is None:
         eps3 = eps3_tree(t, d).eps3
-    eps = np.array(eps3, dtype=np.int64).reshape(1, t.n)
+    eps = _vertex_values(t, eps3)
     lemma = _diametral_lemmas(d[None], eps, decorate_stack(edge_stack([t]), d[None]))
     return _single("diametrical_lemmas", t, lemma)
 
@@ -299,8 +312,7 @@ def verify_main_inequality(g: Graph, report=None) -> CheckOutcome:
     """n*F2 <= m*F1 on trees/unicyclic graphs, with equality exactly when
     a tree is a path and when a unicyclic graph's eps3 is constant.
     Multicyclic inputs only have their sign recorded."""
-    if report is None:
-        report = full_report(g)
+    report = _report_of(g, report)
     if report.kind is GraphKind.MULTICYCLIC:
         return CheckOutcome(
             "main_inequality", "", True, f"multicyclic, sign recorded: {report.comparison.value}"
@@ -313,8 +325,7 @@ def verify_main_inequality(g: Graph, report=None) -> CheckOutcome:
 
 def check_eccentric_analogue(g: Graph, report=None) -> CheckOutcome:
     """n*E2 <= m*E1, the ordinary-eccentricity analogue, on the same classes."""
-    if report is None:
-        report = full_report(g)
+    report = _report_of(g, report)
     lemma = _eccentric_analogue(report.n, report.m, [report.e1], [report.e2])
     return _single("eccentric_analogue", g, lemma)
 

@@ -506,3 +506,9 @@ def test_pruned_rejects_disconnected_graph():
     for path in (eps3_oracle, eps3_profile):
         with pytest.raises(ConnectivityError):
             path(g, all_pairs_distances(fe.path(7)))
+
+
+def test_pruned_rejects_another_graphs_d():
+    # unchecked, path(8)'s matrix gave cycle(6) eps3 (5,) * 6, not (4,) * 6
+    with pytest.raises(PreconditionError, match=r"of shape \(6, 6\), got \(8, 8\)"):
+        eps3_pruned(fe.cycle(6), all_pairs_distances(fe.path(8)))

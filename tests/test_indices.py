@@ -1,5 +1,7 @@
 """The six indices and the exact cross-multiplied comparison."""
 
+import inspect
+
 import pytest
 
 import fermatecc as fe
@@ -31,18 +33,16 @@ def test_full_report_cycle6():
 
 
 def test_zagreb_classic_star():
-    g = fe.star(5)
-    z1, z2 = fe.zagreb_classic(g)
-    assert z1 == 16 + 4 * 1
-    assert z2 == 4 * 4
+    rep = full_report(fe.star(5))
+    assert rep.z1 == 16 + 4 * 1
+    assert rep.z2 == 4 * 4
 
 
 def test_zagreb_eccentricity_path5():
-    g = fe.path(5)
-    e1, e2 = fe.zagreb_eccentricity(g)
+    rep = full_report(fe.path(5))
     # eccentricities 4,3,2,3,4
-    assert e1 == 16 + 9 + 4 + 9 + 16
-    assert e2 == 12 + 6 + 6 + 12
+    assert rep.e1 == 16 + 9 + 4 + 9 + 16
+    assert rep.e2 == 12 + 6 + 6 + 12
 
 
 def test_compare_averages_signs():
@@ -74,17 +74,46 @@ def test_full_report_rejects_edgeless():
         full_report(fe.make_graph(1, []))
 
 
+def _takers_of_d():
+    """Every public function that takes a graph and its distance matrix d,
+    found by signature, so that none added later escapes the tests below."""
+    found = []
+    for name in sorted(dir(fe)):
+        f = getattr(fe, name)
+        if inspect.isfunction(f):
+            params = list(inspect.signature(f).parameters.values())
+            if params and params[0].annotation is fe.Graph and "d" in (p.name for p in params):
+                found.append(f)
+    assert {f.__name__ for f in found} == {
+        "check_diametrical_lemmas",
+        "decorate_tree",
+        "eccentricity2_profile",
+        "eps3_oracle",
+        "eps3_profile",
+        "eps3_pruned",
+        "eps3_tree",
+        "full_report",
+    }
+    return found
+
+
 def test_full_report_rejects_disconnected_graph_with_supplied_d():
     # a triangle plus an isolated vertex has m = n - 1, like a tree; the
-    # supplied matrix (a path's) must not stand in for its distances
+    # supplied matrix (a path's) must not stand in for its distances in
+    # any function that takes d
     g = fe.make_graph(4, [(0, 1), (1, 2), (0, 2)], strict=False)
-    with pytest.raises(fe.ConnectivityError):
-        full_report(g, fe.all_pairs_distances(fe.path(4)))
+    d = fe.all_pairs_distances(fe.path(4))
+    for f in _takers_of_d():
+        with pytest.raises(fe.ConnectivityError):
+            f(g, d=d)
 
 
 @pytest.mark.parametrize("wrong", [7, 3])
 def test_full_report_rejects_a_supplied_d_of_another_size(wrong):
-    # unchecked, a 7 x 7 matrix gives path(5) a report (F1 = 252) and a
-    # 3 x 3 one an IndexError; both are the caller's fault
-    with pytest.raises(PreconditionError, match=r"of shape \(5, 5\), got \(%d, %d\)" % (wrong, wrong)):
-        full_report(fe.path(5), fe.all_pairs_distances(fe.path(wrong)))
+    # unchecked, a 7 x 7 matrix gave path(5) a report (F1 = 252) and seven
+    # eps3 values, and a 3 x 3 one an IndexError; both are the caller's
+    # fault, in every function that takes d
+    d = fe.all_pairs_distances(fe.path(wrong))
+    for f in _takers_of_d():
+        with pytest.raises(PreconditionError, match=r"of shape \(5, 5\), got \(%d, %d\)" % (wrong, wrong)):
+            f(fe.path(5), d=d)

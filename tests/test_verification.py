@@ -33,6 +33,11 @@ def test_edge_lipschitz_detects_violation():
     assert outcome.instance == to_graph6(g)
 
 
+def test_edge_lipschitz_rejects_eps3_of_another_length():
+    with pytest.raises(PreconditionError, match="must have 4 entries, one per vertex, got 5"):
+        check_edge_lipschitz(fe.path(4), eps3=(3, 3, 3, 3, 3))
+
+
 def test_diametrical_lemmas_on_samples():
     for g in (fe.path(9), fe.star(7), fe.random_tree(35, seed=8)):
         out = check_diametrical_lemmas(g)
@@ -42,6 +47,12 @@ def test_diametrical_lemmas_on_samples():
 def test_diametrical_lemmas_requires_tree():
     with pytest.raises(PreconditionError):
         check_diametrical_lemmas(fe.cycle(5))
+
+
+def test_diametrical_lemmas_reject_eps3_of_another_length():
+    t = fe.path(5)
+    with pytest.raises(PreconditionError, match="must have 5 entries, one per vertex, got 4"):
+        check_diametrical_lemmas(t, fe.all_pairs_distances(t), (4, 3, 3, 4))
 
 
 def test_cyclic_sequence_lemma():
@@ -76,6 +87,17 @@ def test_main_inequality_multicyclic_records_sign():
     assert "sign recorded" in out.detail
 
 
+def test_main_inequality_rejects_another_graphs_report():
+    # unchecked, path(5) passed with cycle(5)'s report
+    with pytest.raises(PreconditionError, match=r"\(n, m\) = \(5, 5\), not \(5, 4\)"):
+        verify_main_inequality(fe.path(5), fe.full_report(fe.cycle(5)))
+
+
+def test_eccentric_analogue_rejects_another_graphs_report():
+    with pytest.raises(PreconditionError, match=r"\(n, m\) = \(5, 5\), not \(5, 4\)"):
+        check_eccentric_analogue(fe.path(5), fe.full_report(fe.cycle(5)))
+
+
 def test_eccentric_analogue_samples():
     for g in (fe.path(8), fe.star(8), fe.cycle(9), fe.random_tree(25, seed=3)):
         assert check_eccentric_analogue(g).passed
@@ -91,8 +113,7 @@ def test_sweep_trees_small():
 
 
 def test_sweep_analyses_each_tree_once(monkeypatch):
-    import fermatecc.fermat
-    import fermatecc.generators
+    import fermatecc.graph
     import fermatecc.indices
     import fermatecc.verify
 
@@ -120,10 +141,9 @@ def test_sweep_analyses_each_tree_once(monkeypatch):
 
     monkeypatch.setattr(fermatecc.verify, "to_graph6", counting("graph6", fermatecc.verify.to_graph6))
     monkeypatch.setattr(fermatecc.verify, "graph6_stack", encoding)
-    # every module-level name the package looks per-graph APSP up under;
-    # indices imports none, its stacks come from distance_stack
-    for module in (fermatecc.verify, fermatecc.fermat, fermatecc.generators):
-        monkeypatch.setattr(module, "all_pairs_distances", counting("apsp", module.all_pairs_distances))
+    # every per-graph APSP goes through graph.distance_matrix, which looks
+    # distance_stack up in graph; indices' stacks use its own import of it
+    monkeypatch.setattr(fermatecc.graph, "distance_stack", counting("apsp", fermatecc.graph.distance_stack))
     monkeypatch.setattr(fermatecc.indices, "distance_stack", recording)
     summary = sweep_class(GraphKind.TREE, range(2, 9))
     assert summary.passed
