@@ -346,7 +346,13 @@ def eps3_pruned(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
     whose eps3 stays level) it adds one evaluation per vertex, and the
     second does not run.
     """
-    d = distance_matrix(g, d)
+    return _pruned(g, distance_matrix(g, d))
+
+
+def _pruned(g: Graph, d: np.ndarray) -> FermatProfile:
+    """eps3_pruned on g's own distance matrix d, taken without a check:
+    eps3_stack's rows come from distance_stack, which raises on a
+    disconnected graph."""
     n = g.n
     ecc = eccentricities(d)
     order, parent = bfs_tree(g, int(ecc.argmin()))  # a centre, the smallest id
@@ -485,8 +491,10 @@ def eps3_stack(edges: np.ndarray, d: np.ndarray) -> np.ndarray:
 
     d is their (K, n, n) distance stack.  The path is eps3_profile's:
     the tree kernel on trees, the oracle's min-sums up to _ORACLE_MAX_N
-    vertices, and eps3_pruned above, row by row, on a Graph built from
-    each row (row_graph): the only place an index computation builds one.
+    vertices, and eps3_pruned's kernel above, row by row, on a Graph
+    built from each row (row_graph): the only place an index computation
+    builds one.  d is trusted: distance_stack has raised on any
+    disconnected row, so the kernel skips distance_matrix's check.
     """
     n = d.shape[1]
     if edges.shape[1] == n - 1:
@@ -494,7 +502,7 @@ def eps3_stack(edges: np.ndarray, d: np.ndarray) -> np.ndarray:
     if n <= _ORACLE_MAX_N:
         return _oracle_eps3(d)[0]
     graphs = (row_graph(row, n) for row in edges)
-    return np.array([eps3_pruned(g, dg).eps3 for g, dg in zip(graphs, d)], dtype=np.int64)
+    return np.array([_pruned(g, dg).eps3 for g, dg in zip(graphs, d)], dtype=np.int64)
 
 
 def eps3_profile(g: Graph, d: np.ndarray | None = None) -> FermatProfile:

@@ -6,10 +6,20 @@ A free tree is planted at its centroid: a forest of small rooted trees
 under one root, or two rooted trees of half its size joined at their
 roots.  Unicyclic and bicyclic classes are built from their 2-core (a
 cycle, a theta or a dumbbell) with a rooted tree hung on each core
-vertex, one labelling per orbit of the core's automorphism group.  The
-group is found by a backtracking search on the core, and a core is built
-when a level first reaches it.  So each class is produced once and no
-isomorphism key or dedup is needed.
+vertex, one labelling per orbit of the core's automorphism group.  So
+each class is produced once and no isomorphism key or dedup is needed.
+
+A core of cyclomatic number 1 or 2 is a subdivided kernel: a loop, three
+parallel edges, or two loops joined by an edge or sharing their vertex.
+Its group follows from that shape and is written in closed form: a
+cycle's rotations and reflections; a theta's permutations of equal-length
+arms times the hub swap; a dumbbell's flip of each cycle times, for equal
+cycles, their swap.  A core is built when a level first reaches it, as
+(k, flat sorted edge tuple, group), from the same edge helpers as the
+public cycle, theta and dumbbell, so the labels are theirs.  Its edges
+are valid by construction and only their flat tuple is used, so no Graph
+is built: make_graph's checks, connectivity BFS and adjacency would be
+spent on nothing.
 
 The stream's own form is (n, edges) chunks, free_tree_chunks and
 cyclic_chunks: edges is a (K, m, 2) int array of at most
@@ -33,7 +43,7 @@ their signs are checked, and no graph here realises them yet.
 import random
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations, combinations_with_replacement, islice, product
+from itertools import chain, combinations, combinations_with_replacement, islice, permutations, product
 from numbers import Rational
 from operator import itemgetter, sub
 from typing import Iterator, NamedTuple
@@ -47,7 +57,6 @@ from .graph import (
     GraphKind,
     all_pairs_distances,
     bfs_distances,
-    bfs_tree,
     classify,
     distance_matrix,
     eccentricities,
@@ -70,13 +79,18 @@ def path(n: int) -> Graph:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
-    return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return make_graph(n, _walk_edges([[*range(n), 0]]))
 
 
 def star(n: int) -> Graph:
     if n < 2:
         raise ValueError(f"star needs n >= 2, got {n}")
     return make_graph(n, [(0, i) for i in range(1, n)])
+
+
+def _walk_edges(walks) -> list[tuple[int, int]]:
+    """The edges (u, v), u < v, between consecutive vertices of each walk."""
+    return [(u, v) if u < v else (v, u) for w in walks for u, v in zip(w, w[1:])]
 
 
 def theta(a: int, b: int, c: int) -> Graph:
@@ -88,35 +102,40 @@ def theta(a: int, b: int, c: int) -> Graph:
     lengths = sorted((a, b, c))
     if lengths[0] < 1 or lengths[1] < 2:
         raise ValueError(f"invalid theta path lengths ({a}, {b}, {c})")
-    edges = []
-    nxt = 2
+    return make_graph(a + b + c - 1, _walk_edges(_theta_walks(a, b, c)))
+
+
+def _theta_walks(a: int, b: int, c: int) -> list[list[int]]:
+    """The three paths of theta(a, b, c), each from hub 0 to hub 1, their
+    inner vertices numbered on from 2."""
+    walks, nxt = [], 2
     for length in (a, b, c):
-        prev = 0
-        for _ in range(length - 1):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        edges.append((prev, 1))
-    return make_graph(nxt, edges)
+        walks.append([0, *range(nxt, nxt + length - 1), 1])
+        nxt += length - 1
+    return walks
 
 
 def _two_cycles(c1: int, c2: int, bridge: int, pendants) -> Graph:
-    """The cycle 0..c1-1, the bridge path 0, c1, .., c1 + bridge - 1, the
-    second cycle from the bridge's last vertex through the next c2 - 1
-    labels, then for each (base, length) of pendants a path of length
-    edges off base, numbered on from there."""
-    edges = [(i, (i + 1) % c1) for i in range(c1)]
-    path = [0, *range(c1, c1 + bridge)]
-    ring = [path[-1], *range(c1 + bridge, c1 + bridge + c2 - 1)]
-    nxt = ring[-1] + 1
-    edges += zip(path, path[1:])
-    edges += zip(ring, ring[1:] + ring[:1])
+    """The two cycles and bridge of _dumbbell_walks, then for each
+    (base, length) of pendants a path of length edges off base, numbered
+    on from there."""
+    edges = _walk_edges(_dumbbell_walks(c1, c2, bridge))
+    nxt = c1 + bridge + c2 - 1
     for prev, length in pendants:
         for _ in range(length):
             edges.append((prev, nxt))
             prev = nxt
             nxt += 1
     return make_graph(nxt, edges)
+
+
+def _dumbbell_walks(c1: int, c2: int, bridge: int) -> list[list[int]]:
+    """The cycle 0..c1-1, the bridge path 0, c1, .., c1 + bridge - 1, and
+    the second cycle from the bridge's last vertex through the next c2 - 1
+    labels; each cycle a closed walk from its attachment vertex."""
+    path = [0, *range(c1, c1 + bridge)]
+    hub = path[-1]
+    return [[*range(c1), 0], path, [hub, *range(c1 + bridge, c1 + bridge + c2 - 1), hub]]
 
 
 def dumbbell(c1: int, c2: int, bridge: int, pendant1: int = 0, pendant2: int = 0) -> Graph:
@@ -292,65 +311,95 @@ def _free_trees(n: int) -> Iterator[tuple[int, ...]]:
             yield halves[i] + uppers[j]
 
 
-def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """Every automorphism of the connected graph g but the identity.
+# A core is (k, flat sorted edge tuple, group): its vertex count, its
+# edges as (u, v, u, v, ...) with u < v, and every automorphism but the
+# identity, each a tuple perm with perm[v] the image of v.  Each builder
+# below lists the identity first and drops it.
+Core = tuple[int, tuple[int, ...], list[tuple[int, ...]]]
 
-    An automorphism is the tuple perm with perm[v] the image of v.  A
-    backtracking search maps the vertices in BFS order from 0: vertex 0
-    to any vertex of its degree, each later vertex v to a free neighbour
-    of its BFS parent's image with v's degree, whose mapped neighbours
-    are exactly the images of v's mapped neighbours.  Each partial map
-    so keeps the edges and non-edges among the mapped vertices, and each
-    automorphism is reached once.
-    """
-    order, parent = bfs_tree(g)
-    n, adj = g.n, g.adj
-    perm, taken, found = [-1] * n, [False] * n, []
 
-    def extend(i: int) -> None:
-        if i == n:
-            found.append(tuple(perm))
-            return
-        v = order[i]
-        want = {perm[w] for w in adj[v] if perm[w] >= 0}
-        for x in adj[perm[parent[v]]] if i else range(n):
-            if not taken[x] and len(adj[x]) == len(adj[v]) and {y for y in adj[x] if taken[y]} == want:
-                perm[v], taken[x] = x, True
-                extend(i + 1)
-                taken[x] = False
-        perm[v] = -1
+def _flat_edges(walks) -> tuple[int, ...]:
+    """The walks' edges (u, v), u < v, sorted, as one flat tuple."""
+    return tuple(chain.from_iterable(sorted(_walk_edges(walks))))
 
-    extend(0)
-    return [p for p in found if p != tuple(range(n))]
+
+def _permutation(k: int, maps) -> tuple[int, ...]:
+    """The permutation of 0..k-1 that sends each vertex of a list in maps
+    to the vertex at the same place in its partner list, and fixes the
+    rest."""
+    perm = list(range(k))
+    for src, dst in maps:
+        for x, y in zip(src, dst):
+            perm[x] = y
+    return tuple(perm)
+
+
+def _cycle_core(g: int) -> Core:
+    """C_g as cycle(g) labels it; its group is the g rotations and the g
+    reflections."""
+    group = [tuple((r + s * v) % g for v in range(g)) for r in range(g) for s in (1, -1)]
+    return g, _flat_edges([[*range(g), 0]]), group[1:]
+
+
+def _theta_core(a: int, b: int, c: int) -> Core:
+    """theta(a, b, c) as theta labels it.  Its hubs 0 and 1 are the only
+    vertices of degree 3, so an automorphism maps arms onto arms of equal
+    length: its group is the permutations of equal-length arms, times
+    the hub swap, which reverses every arm."""
+    arms = _theta_walks(a, b, c)
+    k = a + b + c - 1
+    group = []
+    for order in permutations(range(3)):  # arm i goes onto arm order[i]
+        if all(len(arms[i]) == len(arms[j]) for i, j in enumerate(order)):
+            group.append(_permutation(k, zip(arms, [arms[j] for j in order])))
+            group.append(_permutation(k, zip(arms, [arms[j][::-1] for j in order])))
+    return k, _flat_edges(arms), group[1:]
+
+
+def _dumbbell_core(p: int, q: int, bridge: int) -> Core:
+    """dumbbell(p, q, bridge) as dumbbell labels it.  An automorphism
+    keeps the bridge, so it maps each cycle onto a cycle of the same
+    length, hub onto hub (a figure-eight, bridge 0, has one hub): its
+    group is a flip of each cycle about its hub, times, when p == q, the
+    swap of the two cycles that also reverses the bridge."""
+    walks = loop1, path, loop2 = _dumbbell_walks(p, q, bridge)
+    k = p + bridge + q - 1
+    group = []
+    # a cycle's closed walk read backwards is its flip about the hub
+    for flip1 in (loop1, loop1[::-1]):
+        for flip2 in (loop2, loop2[::-1]):
+            group.append(_permutation(k, [(loop1, flip1), (loop2, flip2)]))
+            if p == q:
+                group.append(_permutation(k, [(loop1, flip2), (loop2, flip1), (path, path[::-1])]))
+    return k, _flat_edges(walks), group[1:]
 
 
 @lru_cache(maxsize=None)
-def _core(build, *params) -> tuple[Graph, list[tuple[int, ...]]]:
-    g = build(*params)
-    return g, _automorphisms(g)
+def _core(build, *params) -> Core:
+    return build(*params)
 
 
-def _cores(cyclomatic: int, max_k: int) -> list[tuple[Graph, list[tuple[int, ...]]]]:
+def _cores(cyclomatic: int, max_k: int) -> list[Core]:
     """Each 2-core of cyclomatic number 1 or 2 on at most max_k vertices,
-    with its _automorphisms, both found on the core's first use.
+    built on its first use.
 
     The cores are the cycles C_g, the thetas theta(a, b, c) with a <= b <= c,
     a >= 1, b >= 2, and the dumbbells C_p, path(L), C_q with p <= q and
     L >= 0 (L = 0 is the figure-eight), each family in lexicographic order.
     """
     if cyclomatic == 1:
-        return [_core(cycle, g) for g in range(3, max_k + 1)]
+        return [_core(_cycle_core, g) for g in range(3, max_k + 1)]
     cores = []
     for a in range(1, max_k):
         for b in range(max(a, 2), max_k):
-            cores += [_core(theta, a, b, c) for c in range(b, max_k + 2 - a - b)]
+            cores += [_core(_theta_core, a, b, c) for c in range(b, max_k + 2 - a - b)]
     for p in range(3, max_k):
         for q in range(p, max_k + 2 - p):
-            cores += [_core(dumbbell, p, q, bridge) for bridge in range(max_k + 2 - p - q)]
+            cores += [_core(_dumbbell_core, p, q, bridge) for bridge in range(max_k + 2 - p - q)]
     return cores
 
 
-def _hang_trees(core: Graph, autos: list[tuple[int, ...]], n: int) -> Iterator[tuple[int, ...]]:
+def _hang_trees(core: Core, n: int) -> Iterator[tuple[int, ...]]:
     """One flat edge tuple per class with 2-core `core` on n vertices.
 
     A labelling gives core vertex v a rooted tree (s_v, t_v); two
@@ -361,8 +410,7 @@ def _hang_trees(core: Graph, autos: list[tuple[int, ...]], n: int) -> Iterator[t
     before any tree is chosen; otherwise only the automorphisms that fix
     it can lower t.
     """
-    k = core.n
-    core_edges = tuple(chain.from_iterable(core.edges))
+    k, core_edges, autos = core
     images = [itemgetter(*perm) for perm in autos]  # image(x)[v] = x[perm[v]]
     for cuts in combinations(range(1, n), k - 1):
         sizes = tuple(map(sub, (*cuts, n), (0, *cuts)))
@@ -390,7 +438,8 @@ def _hang_trees(core: Graph, autos: list[tuple[int, ...]], n: int) -> Iterator[t
 def _hung(size: int, v: int, off: int) -> tuple[tuple[int, ...], ...]:
     """Each rooted tree on size vertices hung on core vertex v: its root
     is v and its other vertices are shifted by off."""
-    return tuple(tuple(x + off if x else v for x in tree) for tree in _rooted_trees(size))
+    table = (v, *range(off + 1, off + size))  # table[x] is x's new label
+    return tuple(tuple(map(table.__getitem__, tree)) for tree in _rooted_trees(size))
 
 
 def _chunks(n: int, m: int, flats: Iterator[tuple[int, ...]]) -> Iterator[tuple[int, np.ndarray]]:
@@ -420,8 +469,7 @@ def cyclic_chunks(cyclomatic: int, max_n: int, min_n: int = 0) -> Iterator[tuple
     2.  A level's cores are built when it starts; no core has fewer than
     cyclomatic + 2 vertices."""
     for n in range(max(min_n, cyclomatic + 2), max_n + 1):
-        cores = _cores(cyclomatic, n)
-        level = chain.from_iterable(_hang_trees(core, autos, n) for core, autos in cores)
+        level = chain.from_iterable(_hang_trees(core, n) for core in _cores(cyclomatic, n))
         yield from _chunks(n, n + cyclomatic - 1, level)
 
 

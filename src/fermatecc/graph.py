@@ -251,12 +251,17 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     return distance_matrix(g).astype(np.int64)
 
 
-def distance_matrix(g: Graph, d: np.ndarray | None = None) -> np.ndarray:
+def distance_matrix(g: Graph, d=None) -> np.ndarray:
     """The distance matrix a per-graph function works on: with d None,
     g's int32 hop distances (distance_stack on a stack of one), else the
-    caller's d once its shape is (n, n) and g is connected."""
+    caller's d as an array (a nested list becomes one) once its shape is
+    (n, n) and g is connected."""
     if d is None:
         return distance_stack(edge_stack([g]), g.n)[0]
+    try:
+        d = np.asarray(d)
+    except ValueError:  # rows of unequal length
+        raise PreconditionError(f"d must be a distance matrix of shape {(g.n, g.n)}, got ragged rows") from None
     if d.shape != (g.n, g.n):
         raise PreconditionError(f"d must be a distance matrix of shape {(g.n, g.n)}, got {d.shape}")
     _require_connected(g)

@@ -162,5 +162,8 @@ def index_chunks(graphs) -> Iterator[tuple[list[Graph], IndexStack]]:
 
 
 def full_report(g: Graph, d: np.ndarray | None = None) -> IndexReport:
-    """All six indices plus the comparison: index_stack on a stack of one."""
-    return index_stack(edge_stack([g]), g.n, distance_matrix(g, d)[None]).report(0)
+    """All six indices plus the comparison: index_stack on a stack of one,
+    which computes d from the same edge stack when d is None."""
+    if d is not None:
+        d = distance_matrix(g, d)[None]
+    return index_stack(edge_stack([g]), g.n, d).report(0)

@@ -252,11 +252,16 @@ def _vertex_values(g: Graph, eps3) -> np.ndarray:
 
 
 def _report_of(g: Graph, report: IndexReport | None) -> IndexReport:
-    """g's full_report, or a caller's report of a graph with g's n and m."""
+    """g's full_report, or a caller's report of a graph with g's n, m and
+    degree sums z1, z2."""
     if report is None:
         return full_report(g)
     if (report.n, report.m) != (g.n, g.m):
         raise PreconditionError(f"report of a graph with (n, m) = {(report.n, report.m)}, not {(g.n, g.m)}")
+    degree = [len(nbrs) for nbrs in g.adj]
+    z = (sum(x * x for x in degree), sum(degree[u] * degree[v] for u, v in g.edges))
+    if (report.z1, report.z2) != z:
+        raise PreconditionError(f"report of a graph with (z1, z2) = {(report.z1, report.z2)}, not {z}")
     return report
 
 

@@ -22,6 +22,23 @@ def run_cli(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_main_freezes_the_import_heap_once_and_keeps_gc_on():
+    # a fresh interpreter: nothing is frozen before the first command, the
+    # import's objects are after it, and a second command freezes no more
+    code = (
+        "import gc, sys\n"
+        "from fermatecc.cli import main\n"
+        "assert gc.get_freeze_count() == 0\n"
+        "assert main(['formula', 'bicyclic', '3', '--output', sys.argv[1]]) == 0\n"
+        "frozen = gc.get_freeze_count()\n"
+        "garbage = [[] for _ in range(1000)]\n"
+        "assert main(['formula', 'bicyclic', '3', '--output', sys.argv[1]]) == 0\n"
+        "print(frozen > 10000, gc.get_freeze_count() == frozen, gc.isenabled())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, os.devnull], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout.split()) == (0, ["True", "True", "True"]), proc.stderr
+
+
 @pytest.fixture
 def p4_file(tmp_path):
     f = tmp_path / "p4.txt"

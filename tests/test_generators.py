@@ -30,7 +30,7 @@ from fermatecc import (
     theta,
     two_cycles_with_tail,
 )
-from fermatecc.generators import _automorphisms, _cores, _prufer_decode, free_tree_chunks
+from fermatecc.generators import _cores, _prufer_decode, cyclic_chunks, free_tree_chunks
 from treeforms import canonical_form
 
 
@@ -237,6 +237,26 @@ def test_enumerated_representatives_are_pinned(enumerate_class, max_n, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# sha256 of every (n, edges) chunk cyclic_chunks(cyclomatic, max_n) streams:
+# each chunk's n and array shape, then its edge array as little-endian
+# int64, so a change of labels, row order or chunk cut shows here
+CHUNK_DIGESTS = [
+    (1, 11, 2846, "e8a0c0fc2c211850cef45493742149acfd6c79789973715cd8f457ad6be34985"),
+    (2, 10, 3803, "fe131f96d57abb7f551918c6ee845d762d178bc86d9d061068f9c8899e9add03"),
+]
+
+
+@pytest.mark.parametrize("cyclomatic, max_n, count, digest", CHUNK_DIGESTS, ids=["unicyclic", "bicyclic"])
+def test_cyclic_chunks_are_pinned(cyclomatic, max_n, count, digest):
+    h, rows = hashlib.sha256(), 0
+    for n, edges in cyclic_chunks(cyclomatic, max_n):
+        h.update(np.array([n, *edges.shape], dtype="<i8").tobytes())
+        h.update(edges.astype("<i8").tobytes())
+        rows += len(edges)
+    assert rows == count
+    assert h.hexdigest() == digest
+
+
 def test_with_edge_equals_make_graph():
     # every graph the enumerators build without make_graph: each tree
     # planted at its centroid, and each cyclic class
@@ -347,43 +367,48 @@ def test_enumerated_classes_are_pairwise_non_isomorphic(enumerate_class, n):
             assert not nx.is_isomorphic(_nx(a), _nx(b)), (a.edges, b.edges)
 
 
+def _family_cores(cyclomatic, max_k):
+    """The cores _cores lists, built by the public family constructors in
+    its documented order."""
+    if cyclomatic == 1:
+        return [fe.cycle(g) for g in range(3, max_k + 1)]
+    thetas = [
+        theta(a, b, c)
+        for a in range(1, max_k)
+        for b in range(max(a, 2), max_k)
+        for c in range(b, max_k + 2 - a - b)
+    ]
+    return thetas + [
+        dumbbell(p, q, bridge)
+        for p in range(3, max_k)
+        for q in range(p, max_k + 2 - p)
+        for bridge in range(max_k + 2 - p - q)
+    ]
+
+
 @pytest.mark.parametrize("cyclomatic", [1, 2])
 def test_core_automorphisms_match_networkx(cyclomatic):
-    # every core on at most 10 vertices: the searched group is exactly the
-    # automorphism group networkx finds
-    for core, autos in _cores(cyclomatic, 10):
+    # every core on at most 12 vertices: its edges are the family
+    # constructor's, and its closed-form group is exactly the automorphism
+    # group networkx finds
+    family = _family_cores(cyclomatic, 12)
+    cores = _cores(cyclomatic, 12)
+    assert len(cores) == len(family)
+    for (k, flat, autos), core in zip(cores, family):
+        assert (k, flat) == (core.n, tuple(itertools.chain.from_iterable(core.edges)))
         assert classify(core).cyclomatic == cyclomatic
         assert min(map(len, core.adj)) >= 2  # a 2-core: nothing hangs off it
         found = {
-            tuple(m[v] for v in range(core.n))
+            tuple(m[v] for v in range(k))
             for m in nx.algorithms.isomorphism.GraphMatcher(_nx(core), _nx(core)).isomorphisms_iter()
         }
-        assert found == set(autos) | {tuple(range(core.n))}, core.edges
+        assert found == set(autos) | {tuple(range(k))}, core.edges
         assert len(autos) == len(set(autos)) == len(found) - 1
-
-
-def _check_automorphisms(g):
-    autos = _automorphisms(g)
-    found = {
-        tuple(m[v] for v in range(g.n))
-        for m in nx.algorithms.isomorphism.GraphMatcher(_nx(g), _nx(g)).isomorphisms_iter()
-    }
-    assert set(autos) | {tuple(range(g.n))} == found, g.edges
-    assert len(autos) == len(set(autos)) == len(found) - 1
-
-
-# n <= 8 and few extra edges keep the groups small: a star or a complete
-# graph on n vertices has (n - 1)! or n! automorphisms
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.integers(0, 8))
-def test_automorphisms_match_networkx_on_connected_graphs(n, seed, extra_edges):
-    _check_automorphisms(random_connected(n, seed, extra_edges))
-
-
-def test_automorphisms_match_networkx_on_trees():
-    # every tree on at most 7 vertices, the stars among them
-    for t in enumerate_free_trees(7):
-        _check_automorphisms(t)
+    if cyclomatic == 2:
+        # figure-eights, equal-loop ones among them, and dumbbells with equal
+        # loops, whose groups have the swap
+        for p, q, bridge in ((3, 4, 0), (3, 3, 0), (5, 5, 0), (3, 3, 1), (4, 4, 3), (5, 5, 2)):
+            assert dumbbell(p, q, bridge) in family
 
 
 # ---------------------------------------------------------------------------

@@ -117,3 +117,23 @@ def test_full_report_rejects_a_supplied_d_of_another_size(wrong):
     for f in _takers_of_d():
         with pytest.raises(PreconditionError, match=r"of shape \(5, 5\), got \(%d, %d\)" % (wrong, wrong)):
             f(fe.path(5), d=d)
+
+
+def test_a_nested_list_d_gets_the_arrays_answer():
+    # a list of rows raised AttributeError ('list' object has no attribute
+    # 'shape') in every function that takes d
+    g = fe.path(5)
+    d = fe.all_pairs_distances(g)
+    for f in _takers_of_d():
+        assert f(g, d=d.tolist()) == f(g, d=d), f.__name__
+
+
+@pytest.mark.parametrize(
+    "rows, got",
+    [([[0, 1, 2, 3, 4]] * 4 + [[4, 3, 2, 1]], "ragged rows"), ([[0, 1, 2, 3, 4]] * 4, r"\(4, 5\)")],
+    ids=["ragged", "4x5"],
+)
+def test_a_nested_list_d_of_another_shape_is_rejected(rows, got):
+    for f in _takers_of_d():
+        with pytest.raises(PreconditionError, match=r"of shape \(5, 5\), got " + got):
+            f(fe.path(5), d=rows)

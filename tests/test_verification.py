@@ -98,6 +98,15 @@ def test_eccentric_analogue_rejects_another_graphs_report():
         check_eccentric_analogue(fe.path(5), fe.full_report(fe.cycle(5)))
 
 
+@pytest.mark.parametrize("check", [verify_main_inequality, check_eccentric_analogue])
+def test_checks_reject_a_report_of_another_graph_with_equal_n_and_m(check):
+    # star(5) and path(5) both have (n, m) = (5, 4); unchecked, the star
+    # failed the main inequality with a detail about the path
+    with pytest.raises(PreconditionError, match=r"\(z1, z2\) = \(14, 12\), not \(20, 16\)"):
+        check(fe.star(5), fe.full_report(fe.path(5)))
+    assert check(fe.star(5), fe.full_report(fe.star(5))).passed
+
+
 def test_eccentric_analogue_samples():
     for g in (fe.path(8), fe.star(8), fe.cycle(9), fe.random_tree(25, seed=3)):
         assert check_eccentric_analogue(g).passed
@@ -297,7 +306,7 @@ def test_exhaustive_search_builds_only_the_cores_it_reaches(monkeypatch):
 
         return wrapper
 
-    for name in ("theta", "dumbbell"):
+    for name in ("_theta_core", "_dumbbell_core"):
         monkeypatch.setattr(generators, name, counted(getattr(generators, name)))
     generators._core.cache_clear()
     try:
@@ -305,7 +314,7 @@ def test_exhaustive_search_builds_only_the_cores_it_reaches(monkeypatch):
     finally:
         generators._core.cache_clear()
     assert summary.instance_count == 5 and not summary.complete
-    assert built and max(g.n for g in built) <= 5
+    assert built and max(k for k, _, _ in built) <= 5
 
 
 def test_search_budget_marks_incomplete():
