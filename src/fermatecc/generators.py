@@ -567,33 +567,23 @@ def check_path_rows(t: Graph, d: np.ndarray) -> None:
             raise PreconditionError("d is not the distance matrix of the tree")
 
 
-def decorate_stack(edges: np.ndarray, d: np.ndarray) -> DecorationStack:
-    """Decorate each tree of a (K, m, 2) edge stack along its double-BFS
-    path, reading every field off the trees' (K, n, n) distance stack d.
+def double_sweep(edges: np.ndarray, d: np.ndarray, ecc: np.ndarray):
+    """(length, foot, hang, center) of each tree's double-BFS path, read off
+    rows a and b of the (K, n, n) distance stack d, with ecc the trees'
+    (K, n) eccentricities.
 
     With a the first farthest vertex from 0, b the first farthest from a
     and D = d(a, b), vertex v meets the a-b path (d(a, v) + D - d(b, v)) / 2
-    from a and hangs (d(a, v) + d(b, v) - D) / 2 below it; the path is
-    the set of vertices that hang at depth 0, so every field is read off
-    rows a and b.  Both invariants, D equal to the diameter and every
-    centre on the path, are checked; a failure is a bug when d holds the
-    trees' own distances.
+    from a and hangs (d(a, v) + d(b, v) - D) / 2 below it.  Both
+    invariants, D equal to the diameter and every centre on the path, are
+    checked; a failure is a bug when d holds the trees' own distances.
     """
-    count, n = d.shape[:2]
-    rows = np.arange(count)
+    rows = np.arange(len(d))
     a, b = _path_ends(d)
     da, db = d[rows, a], d[rows, b]
     length = da[rows, b]
     foot = (da + length[:, None] - db) // 2
     hang = (da + db - length[:, None]) // 2
-    path = np.zeros((count, n), dtype=np.intp)
-    k, v = np.nonzero(hang == 0)
-    path[k, foot[k, v]] = v
-    depths = np.zeros_like(hang)
-    np.maximum.at(depths, (np.repeat(rows, n), foot.ravel()), hang.ravel())
-    i = np.arange(n)
-    inner = (1 <= i) & (i < length[:, None])
-    ecc = eccentricities(d)
     diameter = ecc.max(axis=1)
     center = ecc == ecc.min(axis=1)[:, None]
     bad = np.flatnonzero((length != diameter) | (center & (hang != 0)).any(axis=1))
@@ -603,7 +593,22 @@ def decorate_stack(edges: np.ndarray, d: np.ndarray) -> DecorationStack:
             message = f"double BFS path has length {length[k]}, diameter is {diameter[k]}"
         else:
             message = "the diametral path misses a center vertex"
-        _invariant_failed(row_graph(edges[k], n), d[k], message)
+        _invariant_failed(row_graph(edges[k], d.shape[1]), d[k], message)
+    return length, foot, hang, center
+
+
+def decorate_stack(edges: np.ndarray, d: np.ndarray) -> DecorationStack:
+    """Decorate each tree of a (K, m, 2) edge stack along its double_sweep
+    path, the vertices that hang at depth 0, from its distance stack d."""
+    count, n = d.shape[:2]
+    length, foot, hang, center = double_sweep(edges, d, eccentricities(d))
+    path = np.zeros((count, n), dtype=np.intp)
+    k, v = np.nonzero(hang == 0)
+    path[k, foot[k, v]] = v
+    depths = np.zeros_like(hang)
+    np.maximum.at(depths, (np.repeat(np.arange(count), n), foot.ravel()), hang.ravel())
+    i = np.arange(n)
+    inner = (1 <= i) & (i < length[:, None])
     return DecorationStack(
         path=path,
         length=length,

@@ -86,6 +86,7 @@ class IndexStack(NamedTuple):
     kind: GraphKind
     edges: np.ndarray  # (K, m, 2)
     d: np.ndarray  # (K, n, n) distances
+    ecc: np.ndarray  # (K, n) eccentricities
     eps3: np.ndarray  # (K, n)
     degree: np.ndarray  # (K, n)
     f1: np.ndarray  # (K,), as are the five sums below
@@ -127,7 +128,8 @@ def index_stack(edges: np.ndarray, n: int, d: np.ndarray | None = None) -> Index
     eps = eps3_stack(edges, d)
     degree = degree_stack(edges, n)
     f1, f2 = _zagreb(eps, edges)
-    e1, e2 = _zagreb(eccentricities(d), edges)
+    ecc = eccentricities(d)
+    e1, e2 = _zagreb(ecc, edges)
     z1, z2 = _zagreb(degree, edges)
     return IndexStack(
         n=n,
@@ -135,6 +137,7 @@ def index_stack(edges: np.ndarray, n: int, d: np.ndarray | None = None) -> Index
         kind=cyclomatic_kind(m - n + 1),
         edges=edges,
         d=d,
+        ecc=ecc,
         eps3=eps,
         degree=degree,
         f1=f1,

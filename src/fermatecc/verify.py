@@ -7,10 +7,21 @@ eccentric analogue and the diametral-path lemmas.  A lemma function
 returns every graph's failure flag and a formatter of one graph's
 problems.  Sweeps take the enumerator's edge-array chunks one level at
 a time, through indices.index_stack: each chunk's distance stack from
-one bit-parallel BFS over all its graphs, then the indices and every
-lemma as array reductions over the chunk, so a level is never held
-whole.  The per-graph check_* functions run the same lemma functions on
-a stack of one, so their details are the sweep's, byte for byte.
+the parent recurrence for trees and from one bit-parallel BFS over all
+its graphs otherwise, then the indices and every lemma as array
+reductions over the chunk, so a level is never held whole.  The
+per-graph check_* functions run the same lemma functions on a stack of
+one, so their details are the sweep's, byte for byte.
+
+A tree chunk checks the diametral-path lemmas through one closed form.
+On the double-sweep path v_0..v_D, with foot i(u), hang h(u),
+near(u) = min(i(u), D - i(u)), ell the largest interior hang and
+c = eps3(v_ell), the six eps3 lemmas hold exactly when eps3(u) =
+h(u) + c + max(0, ell - near(u)) for every u: the form meets each, and
+the middle, outer and monotonicity lemmas fix it on the path (ell <= D/2
+as D is the diameter), additivity off it (nothing hangs off v_0 or v_D).
+The depth lemma is h(u) <= near(u).  Only trees off the form get the
+decoration and the lemma masks.
 
 A failing CheckOutcome names its instance as a graph6 string (or, for
 the cyclic-sequence lemma, the sequence), so any failure can be
@@ -36,6 +47,7 @@ from .generators import (
     check_path_rows,
     cyclic_chunks,
     decorate_stack,
+    double_sweep,
     dumbbell,
     free_tree_chunks,
     random_connected,
@@ -239,6 +251,27 @@ def _diametral_lemmas(d: np.ndarray, eps: np.ndarray, dec: DecorationStack):
     return np.logical_or.reduce([mask.any(axis=1) for mask in masks]), problems
 
 
+def _off_closed_form(eps: np.ndarray, length: np.ndarray, foot: np.ndarray, hang: np.ndarray):
+    """Per tree of a stack, from double_sweep's fields: whether eps3 leaves
+    the closed form, whose residual eps3 - h - max(0, ell - near) is c at
+    v_ell and so constant on the row, or a hang the depth bound."""
+    near = np.minimum(foot, length[:, None] - foot)
+    ell = np.where(near > 0, hang, 0).max(axis=1, keepdims=True)
+    residual = eps - hang - np.maximum(ell - near, 0)
+    return ((residual != residual[:, :1]) | (hang > near)).any(axis=1)
+
+
+def _tree_lemmas(ix: IndexStack):
+    """_diametral_lemmas on the trees of a chunk _off_closed_form flags; the others pass."""
+    rows = np.flatnonzero(_off_closed_form(ix.eps3, *double_sweep(ix.edges, ix.d, ix.ecc)[:3]))
+    bad = np.zeros(len(ix.edges), dtype=bool)
+    if not rows.size:
+        return bad, None
+    d = ix.d[rows]
+    bad[rows], problems = _diametral_lemmas(d, ix.eps3[rows], decorate_stack(ix.edges[rows], d))
+    return bad, lambda k: problems(int(rows.searchsorted(k)))
+
+
 def _single(name: str, g: Graph, lemma) -> CheckOutcome:
     """The outcome of a lemma run on a stack of one."""
     return _outcome(name, g, lemma[1](0))
@@ -350,8 +383,7 @@ def _failures(ix: IndexStack) -> list[CheckOutcome]:
         ("eccentric_analogue", _eccentric_analogue(ix.n, ix.m, ix.e1.tolist(), ix.e2.tolist())),
     ]
     if ix.kind is GraphKind.TREE:
-        dec = decorate_stack(ix.edges, ix.d)
-        lemmas.append(("diametrical_lemmas", _diametral_lemmas(ix.d, ix.eps3, dec)))
+        lemmas.append(("diametrical_lemmas", _tree_lemmas(ix)))
     failed = np.flatnonzero(np.logical_or.reduce([bad for _, (bad, _) in lemmas]))
     return [
         CheckOutcome(name, g6, False, "; ".join(problems(k)))

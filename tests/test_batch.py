@@ -18,7 +18,7 @@ import pytest
 import fermatecc as fe
 import fermatecc.verify as verify
 from fermatecc import Comparison, GraphKind, IndexReport, classify, eps3_pruned, fermat_distance
-from fermatecc.generators import cyclic_chunks, free_tree_chunks
+from fermatecc.generators import cyclic_chunks, decorate_stack, double_sweep, free_tree_chunks
 from fermatecc.graph import edge_stack
 from fermatecc.indices import index_chunks
 
@@ -170,6 +170,41 @@ def test_lemma_failures_match_the_definitions():
     # additivity, so each changed value breaks some lemma
     assert failed == changed
     assert trials // 2 < failed < trials
+
+
+def test_closed_form_flags_exactly_the_trees_the_lemmas_fail():
+    # the sweep runs the lemmas only on the trees off the closed form, so
+    # the form must flag every tree the lemmas fail and no other
+    rng = random.Random(30)
+    messages = set()
+    for n, edges in free_tree_chunks(12, 3):
+        ix = fe.indices.index_stack(edges, n)
+        frame = double_sweep(ix.edges, ix.d, ix.ecc)[:3]
+        dec = decorate_stack(ix.edges, ix.d)
+        trees = [fe.graph.row_graph(row, n) for row in edges]
+        for _ in range(2):
+            eps = ix.eps3.copy()
+            for row in eps:
+                for _ in range(rng.randrange(3)):
+                    row[rng.randrange(n)] += rng.choice((-2, -1, 1, 2))
+            bad, problems = verify._diametral_lemmas(ix.d, eps, dec)
+            assert verify._off_closed_form(eps, *frame).tolist() == bad.tolist()
+            got = [o for o in verify._failures(ix._replace(eps3=eps)) if o.check_name == "diametrical_lemmas"]
+            want = [fe.check_diametrical_lemmas(t, dt, e) for t, dt, e in zip(trees, ix.d, eps.tolist())]
+            assert got == [o for o in want if not o.passed]
+            messages.update(p.split(" ")[0] for k in np.flatnonzero(bad) for p in problems(k))
+    # each eps3 lemma fails somewhere; the depth lemma cannot while D is the diameter
+    assert messages == {"symmetry:", "monotonicity", "center", "middle-segment", "outer-segment", "subtree"}
+
+
+def test_closed_form_flags_a_hang_beyond_the_depth_bound():
+    # the star K_{1,3} on the path 0-1-2 passes; the same frame with vertex
+    # 3 hanging 2 below v_1, which no tree of diameter 2 has, fits the form
+    # (eps3 = hang + 1 + max(0, ell - near), ell = 2) but breaks the bound
+    length, foot = np.array([2]), np.array([[0, 1, 2, 1]])
+    star = verify._off_closed_form(np.array([[3, 2, 3, 3]]), length, foot, np.array([[0, 0, 0, 1]]))
+    deep = verify._off_closed_form(np.array([[3, 2, 3, 4]]), length, foot, np.array([[0, 0, 0, 2]]))
+    assert (star.tolist(), deep.tolist()) == ([False], [True])
 
 
 def test_main_inequality_flags_the_unicyclic_equality_case_both_ways():

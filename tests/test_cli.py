@@ -408,15 +408,32 @@ def test_stray_value_error_is_internal(p4_file, monkeypatch, capsys):
 
 
 def test_sweep_invariant_failure_is_internal(monkeypatch, capsys):
-    # the sweep hands decorate_stack each tree's own distances, so a failed
-    # diametral-path invariant is a bug (exit 5), not an input error (exit 3)
-    import fermatecc.generators as gen
+    # the sweep checks each tree's double-BFS path against the eccentricities
+    # index_stack reduced from its own distances, so a failed diametral-path
+    # invariant is a bug (exit 5), not an input error (exit 3)
+    import fermatecc.indices as indices
 
-    real = gen.eccentricities
+    real = indices.eccentricities
     # every eccentricity one too large: the diameter exceeds the path length
-    monkeypatch.setattr(gen, "eccentricities", lambda d: real(d) + 1)
+    monkeypatch.setattr(indices, "eccentricities", lambda d: real(d) + 1)
     assert main(["verify", "tree", "2..5"]) == 5
     assert "double BFS path" in capsys.readouterr().err
+
+
+def test_sweep_center_invariant_failure_is_internal(monkeypatch, capsys):
+    import fermatecc.indices as indices
+
+    real = indices.eccentricities
+
+    def flat(d):
+        # every eccentricity the diameter: every vertex a centre, so the
+        # first star (n = 4) has a centre off its diametral path
+        ecc = real(d)
+        return ecc.max(axis=1, keepdims=True).repeat(ecc.shape[1], axis=1)
+
+    monkeypatch.setattr(indices, "eccentricities", flat)
+    assert main(["verify", "tree", "2..5"]) == 5
+    assert "the diametral path misses a center vertex" in capsys.readouterr().err
 
 
 def test_benchmarked_commands_load_no_unused_stdlib(p4_file):
