@@ -3,12 +3,14 @@
 Three interchangeable computation paths:
 
 * eps3_oracle  -- exhaustive brute force over all pairs, the reference.
-                  F is symmetric in v and w, so it sums the pairs
-                  v <= w only, each pair's sums d(s,v) + d(s,w) once per
-                  block.  One numpy broadcast covers a block of source
-                  vertices, or of whole graphs of a stack, as many as
-                  fit in _TABLE entries of the narrowest exact integer
-                  type (_sum_dtype).
+                  F is symmetric in its three vertices, so it takes
+                  each unordered triple once, from the pair sums
+                  d(s,v) + d(s,w) of the pairs v <= w, and each vertex
+                  gathers its pairs' values from those.  The work is
+                  laid out graph-innermost, so one numpy call covers a
+                  block of whole graphs of a stack; every table fits in
+                  _TABLE entries of the narrowest exact integer type
+                  (_sum_dtype).
 * eps3_pruned  -- same values from fewer pairs and fewer candidate Fermat
                   vertices (lemmas A and B below), skipping pairs by
                   exact lower/upper bounds.  Single-threaded: vertices
@@ -27,9 +29,9 @@ Three interchangeable computation paths:
 * eps3_tree    -- O(n) per vertex fast path valid on trees only.
 
 eps3_profile picks by size and class: trees take eps3_tree, other graphs
-with at most _ORACLE_MAX_N vertices take eps3_oracle, whose n^2 (n+1)/2
-sums are cheaper there than the pruned path's per-vertex Python work,
-and larger graphs take eps3_pruned.  eps3_stack makes the same choice
+with at most _ORACLE_MAX_N vertices take eps3_oracle, whose
+n^2 (n+1)(n+2)/6 sums are cheaper there than the pruned path's
+per-vertex Python work, and larger graphs take eps3_pruned.  eps3_stack makes the same choice
 for a stack of graphs with equal n and m, given as edge rows; it builds
 a Graph only for a row eps3_pruned takes.  The tree and oracle kernels
 work on (K, n, n) distance stacks; eps3_tree and eps3_oracle run them
@@ -68,12 +70,13 @@ narrowest signed integer type that fits that (_sum_dtype): int8 up to
 diameter 42, int16 up to diameter 10922, int32 above.
 """
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import PreconditionError
-from .graph import Graph, bfs_tree, distance_matrix, eccentricities, row_graph
+from .graph import _ORACLE_MAX_N, Graph, bfs_tree, distance_matrix, eccentricities, row_graph
 
 
 class FermatWitness(NamedTuple):
@@ -111,36 +114,49 @@ def fermat_vertices(d: np.ndarray, u: int, v: int, w: int) -> tuple[int, ...]:
     return tuple(int(s) for s in np.flatnonzero(sums == best))
 
 
-# Entries in one oracle broadcast table, of the oracle's sum type (int8
-# up to diameter 42: 256 KB).  With P = n(n+1)/2 pairs, each source
-# vertex takes n P entries, and a block holds as many sources as fit, at
-# least one: all n sources up to n = 26, and one source from n = 64 on.
-# On a stack, a block holds as many whole graphs (n^2 P entries each) as
-# fit.  The sweeps cut each level into chunks of at most _TABLE // n^2
-# graphs, so a chunk's distance stack has no more entries than a table.
-# eps3_pruned's second gather keeps its tables within the same budget.
-# On stacks of unicyclic or bicyclic graphs with n = 9 and 12 and of
-# random graphs with 2 chords and n = 20 and 28 (2-vCPU Xeon VM, best
-# of 5), budgets of 2^18 to 2^20 entries ran within 6% of each other;
-# 2^16 took up to 1.3x the time of 2^18 and 2^22 up to 1.17x.
+# Entries in one oracle table, of the oracle's sum type (int8 up to
+# diameter 42: 256 KB).  With P = n(n+1)/2 pairs, a block of the oracle
+# holds as many whole graphs as keep their pair sums (n P entries each)
+# within it, at least one: 23 graphs at n = 28, 647 at n = 9.  Its tables
+# of sorted triples and its gathers fit in it too, at least one vertex
+# each; one graph's pair sums, or one vertex's table of at most n P
+# entries, exceed it from n = 81 on.  The sweeps cut each level into
+# chunks of at most _TABLE // n^2 graphs, so a chunk's distance stack
+# has no more entries than a table.  eps3_pruned's second gather keeps
+# its tables within the same budget.  With the graph-innermost oracle, on
+# stacks of unicyclic or bicyclic graphs with n = 9 and 12 (whole
+# chunks) and of 60 random graphs with 2 chords and n = 20 and 28
+# (2-vCPU Xeon VM, best of 9), 2^17 took 1.10-2.10x the time of 2^18 and
+# 2^16 1.64-4.05x, as a block then holds few graphs; 2^19 took
+# 0.70-1.07x, 2^20 0.35-1.44x and 2^22 0.43-1.13x.  Above 2^18 only the
+# stacks of 28 vertices, which no sweep analyses, gain throughout, while
+# the tables and a chunk's int32 distance stack (4 _TABLE bytes) grow.
 _TABLE = 1 << 18
 
-# eps3_profile and eps3_stack send non-tree graphs up to this size to the
-# oracle.  On random graphs with 1-5 chords (same VM, supplied d, 30
-# graphs per size, best of 7-9 interleaved rounds) the oracle took 0.36x
-# eps3_pruned's time per graph at n = 20, 0.44-0.48x at n = 24, 0.66-0.73x
-# at n = 28, 0.79-0.82x at n = 30, 0.93-0.94x at n = 32 and 1.11x at
-# n = 34; on stacks of 60 graphs with equal n and m it took 0.19x at
-# n = 20, 0.57x at n = 28, 0.83x at n = 32 and 1.21x at n = 36.  Denser
-# graphs (n/4 or n chords) and tadpoles favour the oracle more, 0.29-0.75x
-# at n = 24-34, as the oracle's time depends on n alone.  With eps3_pruned
-# walking BFS levels (same VM and method, 30 graphs per size, best of 9)
-# the oracle took 0.41x at n = 24, 0.59x at n = 28, 0.71x at n = 30, 0.92x
-# at n = 32, 1.03x at n = 34 and 1.28x at n = 36.  28 keeps a margin below
-# the sparse graphs' crossover at about 33: at these sizes the pruned
-# kernel's per-level and per-vertex Python work, not its pair count, sets
-# its time.
-_ORACLE_MAX_N = 28
+# eps3_profile and eps3_stack send non-tree graphs up to _ORACLE_MAX_N
+# vertices to the oracle.  On random graphs with 1-5 chords (same VM,
+# supplied d, 30 graphs per size, best of 7-9 interleaved rounds) the
+# oracle took 0.36x eps3_pruned's time per graph at n = 20, 0.44-0.48x
+# at n = 24, 0.66-0.73x at n = 28, 0.79-0.82x at n = 30, 0.93-0.94x at
+# n = 32 and 1.11x at n = 34; on stacks of 60 graphs with equal n and m
+# it took 0.19x at n = 20, 0.57x at n = 28, 0.83x at n = 32 and 1.21x at
+# n = 36.  Denser graphs (n/4 or n chords) and tadpoles favour the oracle
+# more, 0.29-0.75x at n = 24-34, as the oracle's time depends on n
+# alone.  With eps3_pruned walking BFS levels (same VM and method, 30
+# graphs per size, best of 9) the oracle took 0.41x at n = 24, 0.59x at
+# n = 28, 0.71x at n = 30, 0.92x at n = 32, 1.03x at n = 34 and 1.28x at
+# n = 36.  28 keeps a margin below the sparse graphs' crossover at about
+# 33: at these sizes the pruned kernel's per-level and per-vertex Python
+# work, not its pair count, sets its time.  Taking each unordered triple
+# once, graph-innermost (same VM and method; above 28 with the per-n
+# gather tables cached, as a raised constant would have them), the
+# oracle took 0.22x eps3_pruned's time per graph at n = 20, 0.30-0.32x
+# at 28, 0.42x at 32, 0.45x at 36 and 0.55-0.57x at 40; on stacks of 60
+# graphs with 3 chords it took 0.05x at n = 20, 0.26-0.28x at 28, 0.53x
+# at 32, 0.77-0.81x at 34 and 1.09-1.14x at 36, where a block holds only
+# 10 graphs.  The stacks' crossover moved from about 33 to about 35, so
+# 28 keeps its margin.  The constant lives in graph, whose distance_stack
+# takes the same stacks to its closure.
 
 
 def _blocks(rows: int, width: int) -> list[slice]:
@@ -150,44 +166,147 @@ def _blocks(rows: int, width: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, rows, step)]
 
 
+class _Pairs(NamedTuple):
+    """The oracle's per-n index tables (_pairs)."""
+
+    tri: np.ndarray  # tri[b] = b(b+1)/2, b = 0..n
+    iv: np.ndarray  # the P pairs v <= w, row-major
+    iw: np.ndarray
+    cv: np.ndarray  # the same pairs in column order, by w and then v
+    cw: np.ndarray
+    # per vertex u and row-major pair (v, w), the largest of u, v, w and
+    # tri[median] + smallest: up to _ORACLE_MAX_N only, in uint8 and
+    # uint16 (below n and P), else None
+    top: np.ndarray | None
+    low: np.ndarray | None
+
+
+def _top_low(u: np.ndarray, t: _Pairs) -> tuple[np.ndarray, np.ndarray]:
+    """_Pairs.top and .low of the vertices u, (len(u), P) each."""
+    u = u[:, None]
+    low = t.tri[np.clip(u, t.iv, t.iw)]  # the median, as v <= w
+    low += np.minimum(u, t.iv)
+    return np.maximum(u, t.iw), low
+
+
+def _pairs(n: int) -> _Pairs:
+    """The oracle's index tables for n vertices; top and low only where a
+    stack can reach the oracle (n <= _ORACLE_MAX_N), and there the tables
+    are kept for the last few n (_small_pairs): at most 47 KB each."""
+    # the pairs of np.triu_indices and np.tril_indices, in 14 against 43
+    # us at n = 8: a fresh process builds these tables once per size
+    x = np.arange(n + 1)
+    tri = x * (x + 1) // 2
+    p = np.arange(tri[n])
+    iv = np.repeat(x[:n], n - x[:n])  # row v holds n - v pairs
+    cw = np.repeat(x[:n], x[1:])  # column w holds w + 1 pairs
+    t = _Pairs(tri, iv, p - n * iv + tri[iv], p - tri[cw], cw, None, None)
+    if n > _ORACLE_MAX_N:
+        return t
+    top, low = _top_low(x[:n], t)
+    t = t._replace(top=top.astype(np.uint8), low=low.astype(np.uint16))
+    for a in t:
+        a.flags.writeable = False  # shared through the cache
+    return t
+
+
+# A sweep takes one size at a time, and cyclic_sweep's bicyclic search
+# (n = 4..8) follows a unicyclic sweep of n = 3..9, so 8 sizes let it
+# reuse every table.  search family-sweep reaches the oracle with 20
+# sizes of graph, and keeping all their tables in intp took its peak
+# RSS from 48.4 to 49.9 MB; in uint8 and uint16 top and low take 3
+# bytes an entry, not 16, and np.take reads them almost as fast (22
+# against 20 us for a whole graph at n = 28).
+_small_pairs = lru_cache(maxsize=8)(_pairs)
+
+
+@lru_cache(maxsize=64)
+def _triple_blocks(n: int, kb: int, table: int) -> tuple[tuple[tuple[int, int, int], ...], int, np.ndarray]:
+    """How _oracle_eps3 cuts the largest vertex c of the sorted triples
+    a <= b <= c of n vertices into blocks, for kb graphs at once: each
+    block c0..c1-1 takes the tri[c1] pairs with b < c1, for all its c in
+    one table of n (c1 - c0) tri[c1] kb entries.  A block holds as many
+    c as keep that within table (_TABLE) entries and its sums within
+    twice the (c + 1)(c + 2)/2 each c needs (at least one c).  On a
+    single graph one block of every c would sum as many triples as the
+    ordered ones, and one block per c would cost two numpy calls per c.
+    Returns each block's (c0, c1, position in f), f's length, and
+    base[c], the position of F(0, 0, c): F(a, b, c) sits at base[c] +
+    tri[b] + a.
+    """
+    tri = [x * (x + 1) // 2 for x in range(n + 2)]
+    blocks, size, c0 = [], 0, 0
+    while c0 < n:
+        c1 = c0 + 1
+        while c1 < n and (
+            n * (c1 + 1 - c0) * tri[c1 + 1] * kb <= table
+            and (c1 + 1 - c0) * tri[c1 + 1] <= 2 * sum(tri[c0 + 1 : c1 + 2])
+        ):
+            c1 += 1
+        blocks.append((c0, c1, size))
+        size += (c1 - c0) * tri[c1]
+        c0 = c1
+    base = np.array([o + (c - c0) * tri[c1] for c0, c1, o in blocks for c in range(c0, c1)], dtype=np.intp)
+    base.flags.writeable = False  # shared through the cache
+    return tuple(blocks), size, base
+
+
 def _oracle_eps3(d: np.ndarray, witnesses: bool = False):
     """Exhaustive eps3 of each graph in a (K, n, n) distance stack.
 
-    F is symmetric in v and w, so the pairs are v <= w only, P = n(n+1)/2
-    of them in row-major order.  The pair sums pw[s, p] = d[s, v] +
-    d[s, w] are taken once per block, and each numpy call then takes
-    min_s (d[s, u] + pw[s, p]): whole graphs, all n sources each, as many
-    as fit in _TABLE entries (n^2 P per graph), or, where one graph does
-    not fit, a block of sources of one graph (n P each, at least one
-    source).  No sum exceeds 3 diam, so every entry is held in the
-    narrowest signed integer type that fits it (_sum_dtype).  Returns
-    eps3 as a (K, n) array and, with witnesses, the row-major index
-    v * n + w of the first maximising ordered pair of each vertex, else
-    None: that pair has v <= w, since its mirror maximises too.
+    F is symmetric in its three vertices, so it is taken once per sorted
+    triple a <= b <= c, n(n+1)(n+2)/6 of them, about a third of the
+    ordered ones.  The work is laid out graph-innermost, (.., K), so each
+    numpy call runs over a block of whole graphs at once, as many as
+    keep the pair sums within _TABLE entries (at least one).  The pair
+    sums pw[s, p] = d[s, v] + d[s, w] of the P = n(n+1)/2 pairs v <= w are
+    taken in column order, by w and then v, so the pairs with w <= c are
+    a prefix of (c+1)(c+2)/2 of them, and F(a, b, c) = min_s (pw[s, p(a,
+    b)] + d[s, c]) over that prefix.  One numpy call takes a block of c
+    (_triple_blocks), and its minimum goes straight into f, where F(a,
+    b, c) sits at base[c] + b(b+1)/2 + a.  No sum exceeds 3 diam, so
+    every entry is held in the narrowest signed integer type that fits
+    it (_sum_dtype).
+
+    Each vertex u then gathers F of its P pairs v <= w, in row-major
+    order, through its sorted triple's position.  Returns eps3 as a
+    (K, n) array and, with witnesses, the row-major index v * n + w of
+    the first maximising ordered pair of each vertex, else None: that
+    pair has v <= w, since its mirror maximises too.
     """
     k_all, n = d.shape[:2]
-    iv, iw = np.triu_indices(n)
-    pairs = iv.size
-    dt = d.astype(_sum_dtype(3 * int(d.max())))
+    t = _small_pairs(n) if n <= _ORACLE_MAX_N else _pairs(n)
+    tri, pairs = t.tri.tolist(), t.iv.size
+    dtype = _sum_dtype(3 * int(d.max()))
     eps = np.empty((k_all, n), dtype=np.int64)
     arg = np.empty((k_all, n), dtype=np.intp) if witnesses else None
-    if n * n * pairs <= _TABLE:
-        blocks = [(ks, [slice(None)]) for ks in _blocks(k_all, n * n * pairs)]
-    else:
-        blocks = [(slice(k, k + 1), _blocks(n, n * pairs)) for k in range(k_all)]
-    for ks, source_blocks in blocks:
-        dk = dt[ks]
-        pw = dk[:, :, iv]  # pw[k, s, p] = d[s, iv[p]] + d[s, iw[p]]
-        pw += dk[:, :, iw]
-        for us in source_blocks:
-            # f[k, i, p] = min_s (d[s, u_i] + pw[k, s, p]) of graph k
-            f = (dk[:, :, us, None] + pw[:, :, None, :]).min(axis=1)
-            eps[ks, us] = f.max(axis=2)
+    for ks in _blocks(k_all, n * pairs):
+        dk = np.ascontiguousarray(d[ks].transpose(1, 2, 0), dtype=dtype)  # dk[s, x, k]
+        kb = dk.shape[2]
+        # pw[s, p, k] = d[s, cv[p]] + d[s, cw[p]] of graph k.  np.take keeps
+        # C order, where dk[:, cv] puts the pair axis outermost in memory
+        pw = np.take(dk, t.cv, axis=1)
+        pw += np.take(dk, t.cw, axis=1)
+        blocks, size, base = _triple_blocks(n, kb, _TABLE)
+        f = np.empty((size, kb), dtype=dtype)
+        for c0, c1, o in blocks:
+            w = tri[c1]
+            out = f[o : o + (c1 - c0) * w].reshape(c1 - c0, w, kb)
+            np.min(dk[:, c0:c1, None] + pw[:, None, :w], axis=0, out=out)
+        del pw  # the gathers read f alone
+        # a vertex's row gathers P kb sums, through P indices (8 bytes
+        # each) that are built per block above _ORACLE_MAX_N, three at once
+        for us in _blocks(n, pairs * (kb if t.top is not None else kb + 24)):
+            top, low = (t.top[us], t.low[us]) if t.top is not None else _top_low(np.arange(n)[us], t)
+            at = base.take(top)
+            at += low
+            g = np.take(f, at, axis=0)  # g[i, p, k] = F(u_i, iv[p], iw[p]) of graph k
+            eps[ks, us] = g.max(axis=1).T
             if witnesses:
                 # argmax takes the first maximum; the pairs are in row-major
                 # order, so it is the lexicographic min
-                a = f.argmax(axis=2)
-                arg[ks, us] = iv[a] * n + iw[a]
+                a = g.argmax(axis=1).T
+                arg[ks, us] = t.iv[a] * n + t.iw[a]
     return eps, arg
 
 
@@ -199,10 +318,11 @@ def eps3_oracle(
     """Exhaustive reference computation of all Fermat eccentricities.
 
     No pruning: for each u the maximum runs over every pair v <= w,
-    which covers every ordered pair as F is symmetric in v and w, for a
-    block of vertices u per numpy call, as many as fit in _TABLE entries.
-    Witnesses, when requested, pick the lexicographically smallest
-    maximising (v, w) and then the smallest minimising Fermat vertex.
+    which covers every ordered pair as F is symmetric in v and w, and
+    each F(u, v, w) is the one value of its unordered triple
+    (_oracle_eps3, on a stack of one).  Witnesses, when requested, pick
+    the lexicographically smallest maximising (v, w) and then the
+    smallest minimising Fermat vertex.
     """
     d = distance_matrix(g, d)
     eps, arg = _oracle_eps3(d[None], witnesses)
@@ -490,10 +610,10 @@ def eps3_stack(edges: np.ndarray, d: np.ndarray) -> np.ndarray:
     """eps3 of the K connected graphs of a (K, m, 2) edge stack, as a (K, n) array.
 
     d is their (K, n, n) distance stack.  The path is eps3_profile's:
-    the tree kernel on trees, the oracle's min-sums up to _ORACLE_MAX_N
-    vertices, and eps3_pruned's kernel above, row by row, on a Graph
-    built from each row (row_graph): the only place an index computation
-    builds one.  d is trusted: distance_stack has raised on any
+    the tree kernel on trees, the oracle up to _ORACLE_MAX_N vertices,
+    on the whole stack at once, and eps3_pruned's kernel above, row by
+    row, on a Graph built from each row (row_graph): the only place an
+    index computation builds one.  d is trusted: distance_stack has raised on any
     disconnected row, so the kernel skips distance_matrix's check.
     """
     n = d.shape[1]

@@ -6,8 +6,9 @@ once; distance_matrix runs it on a stack of one, and all_pairs_distances
 widens that to int64.  A stack of trees in parent order (each vertex
 v >= 1 has exactly one smaller neighbour, as the tree enumerator labels
 them) takes a recurrence, row v its parent's row plus one; every other
-stack takes a bit-parallel BFS from all sources.  bfs_distances is one
-BFS from one source.
+stack with at most _ORACLE_MAX_N vertices takes a min-plus closure laid
+out graph-innermost, and a larger one a bit-parallel BFS from all
+sources.  bfs_distances is one BFS from one source.
 graph6 strings (McKay's six-bit format) are encoded and decoded natively.
 
 Every per-graph function that takes a distance matrix d (the four eps3
@@ -372,6 +373,41 @@ def _tree_distances(parent: np.ndarray) -> np.ndarray:
     return d
 
 
+# Stacks up to this size that are not trees in parent order take
+# _closure_stack; fermat.eps3_stack and eps3_profile send the non-tree
+# graphs among them to the oracle, whose range it is (measured there).
+# On stacks of 60 random graphs with 3 chords (2-vCPU Xeon VM, best of
+# 7) the closure took 0.32x the BFS's time at n = 12, 0.41x at 20,
+# 0.54x at 28 and 0.62-0.76x at 32-40; on single graphs with 1-5 chords
+# (best of 15, 20 graphs) 0.43x at n = 8, 0.48x at 20, 0.59x at 28 and
+# 0.69x at 36.  So the oracle's range, not the closure's, sets it.
+_ORACLE_MAX_N = 28
+
+
+def _closure_stack(edges: np.ndarray, n: int) -> np.ndarray:
+    """distance_stack by a min-plus closure (Floyd, "Algorithm 97:
+    Shortest path", CACM 1962) over a whole stack, for n <= 63.
+
+    The table is (n, n, K) int8, the graph axis innermost, so each of
+    the n steps is two numpy calls over every graph at once: through
+    vertex w, d(u, v) becomes min(d(u, v), d(u, w) + d(w, v)).  An absent
+    edge starts at the sentinel n, above every distance; no sum exceeds
+    2n, and a pair that no path joins keeps n.  Returns a (K, n, n) view
+    of the table widened to int32, still graph-innermost in memory.
+    """
+    k = len(edges)
+    d = np.full((n, n, k), n, dtype=np.int8)
+    d[np.arange(n), np.arange(n)] = 0
+    graphs = np.arange(k)[:, None]
+    d[edges[..., 0], edges[..., 1], graphs] = 1
+    d[edges[..., 1], edges[..., 0], graphs] = 1
+    for w in range(n):
+        np.minimum(d, d[:, w, None] + d[w, None], out=d)
+    if (d[0] == n).any():
+        raise ConnectivityError("distances require a connected graph")
+    return d.astype(np.int32).transpose(2, 0, 1)
+
+
 def distance_stack(edges: np.ndarray, n: int) -> np.ndarray:
     """(K, n, n) int32 hop distances of the K connected graphs of a (K, m, 2)
     edge stack on n vertices, every source of every graph at once.
@@ -381,11 +417,16 @@ def distance_stack(edges: np.ndarray, n: int) -> np.ndarray:
     is smaller) takes the parent recurrence, _tree_distances: n - 1
     vectorised steps and no BFS.  Against the BFS's one level per unit of
     diameter it is slower only on shallow trees with many vertices, such
-    as a large star.  Every other stack takes _bfs_stack; one with
-    m != n - 1 pays a single comparison for the choice.
+    as a large star.  Every other stack with at most _ORACLE_MAX_N
+    vertices takes the min-plus closure, _closure_stack, and larger ones
+    take _bfs_stack.  Every path returns int32; the closure's is a view
+    whose graph axis is innermost in memory, the layout the oracle works
+    in (astype keeps that order, so its transpose back is a view).
     """
     if edges.shape[1] == n - 1 and (parent := _parent_order(edges, n)) is not None:
         return _tree_distances(parent)
+    if n <= _ORACLE_MAX_N:
+        return _closure_stack(edges, n)
     return _bfs_stack(edges, n)
 
 

@@ -13,8 +13,9 @@ witness files) into chunks of the same size, at most fermat._TABLE
 distance entries each, so each list the package analyses is held a
 chunk at a time.  A single graph is a chunk of one: full_report runs
 the same code on a stack of one.  The comparison of F2/m against F1/n
-is decided by the sign of the integer n*F2 - m*F1, in Python ints,
-never floats.
+is decided by the sign of the integer n*F2 - m*F1, exact and never in
+floats: on a stack it is taken on the F1/F2 arrays (_signs), and a
+Comparison is built only for a reported row.
 """
 
 from enum import Enum
@@ -66,16 +67,28 @@ def _zagreb(x: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (x * x).sum(axis=1), (ends[..., 0] * ends[..., 1]).sum(axis=1)
 
 
+# the Comparison of each sign of n*F2 - m*F1, and back
+_BY_SIGN = {-1: Comparison.NEGATIVE, 0: Comparison.ZERO, 1: Comparison.POSITIVE}
+_SIGN = {c: s for s, c in _BY_SIGN.items()}
+
+
 def compare_averages(n: int, m: int, f1: int, f2: int) -> Comparison:
     """Sign of n*F2 - m*F1; NEGATIVE means F2/m < F1/n strictly."""
     if m == 0:
         raise ValueError("comparison of averages is undefined for m = 0")
     delta = n * f2 - m * f1
-    if delta < 0:
-        return Comparison.NEGATIVE
-    if delta > 0:
-        return Comparison.POSITIVE
-    return Comparison.ZERO
+    return _BY_SIGN[(delta > 0) - (delta < 0)]
+
+
+def _signs(n: int, m: int, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """(K,) sign of n*F2 - m*F1 per graph, exact: in int64 where both
+    products stay below 2^62 (F1 and F2 are never negative), else in
+    Python ints."""
+    if n * int(f2.max(initial=0)) < 2**62 and m * int(f1.max(initial=0)) < 2**62:
+        delta = n * f2 - m * f1
+        return (delta > 0).astype(np.int64) - (delta < 0)
+    deltas = (n * b - m * a for a, b in zip(f1.tolist(), f2.tolist()))
+    return np.array([(x > 0) - (x < 0) for x in deltas], dtype=np.int64)
 
 
 class IndexStack(NamedTuple):
@@ -95,7 +108,7 @@ class IndexStack(NamedTuple):
     e2: np.ndarray
     z1: np.ndarray
     z2: np.ndarray
-    comparisons: tuple[Comparison, ...]
+    sign: np.ndarray  # (K,) sign of n*F2 - m*F1: -1, 0 or 1
 
     def report(self, k: int) -> IndexReport:
         """The IndexReport of graph k, in Python ints."""
@@ -110,7 +123,7 @@ class IndexStack(NamedTuple):
             e2=int(self.e2[k]),
             z1=int(self.z1[k]),
             z2=int(self.z2[k]),
-            comparison=self.comparisons[k],
+            comparison=_BY_SIGN[int(self.sign[k])],
         )
 
 
@@ -146,9 +159,7 @@ def index_stack(edges: np.ndarray, n: int, d: np.ndarray | None = None) -> Index
         e2=e2,
         z1=z1,
         z2=z2,
-        comparisons=tuple(
-            compare_averages(n, m, a, b) for a, b in zip(f1.tolist(), f2.tolist())
-        ),
+        sign=_signs(n, m, f1, f2),
     )
 
 

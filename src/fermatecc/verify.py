@@ -67,7 +67,7 @@ from .graph import (
     make_graph,
     to_graph6,
 )
-from .indices import Comparison, IndexReport, IndexStack, full_report, index_chunks, index_stack
+from .indices import _BY_SIGN, _SIGN, Comparison, IndexReport, IndexStack, full_report, index_chunks, index_stack
 
 
 class CheckOutcome(NamedTuple):
@@ -160,11 +160,11 @@ def _is_path(degree: np.ndarray) -> np.ndarray:
     return (degree.max(axis=1) <= 2) & ((degree == 1).sum(axis=1) == 2)
 
 
-def _main_inequality(kind: GraphKind, comparisons, f1, f2, degree: np.ndarray, eps: np.ndarray):
+def _main_inequality(kind: GraphKind, sign: np.ndarray, f1, f2, degree: np.ndarray, eps: np.ndarray):
     """n*F2 <= m*F1, with equality exactly on the paths among trees and
-    exactly where eps3 is constant on other graphs."""
-    positive = np.array([c is Comparison.POSITIVE for c in comparisons])
-    zero = np.array([c is Comparison.ZERO for c in comparisons])
+    exactly where eps3 is constant on other graphs; sign is that of
+    n*F2 - m*F1 per graph."""
+    positive, zero = sign > 0, sign == 0
     if kind is GraphKind.TREE:
         name, equal = "is_path", _is_path(degree)
     else:
@@ -177,7 +177,7 @@ def _main_inequality(kind: GraphKind, comparisons, f1, f2, degree: np.ndarray, e
             out.append(f"n*F2 - m*F1 > 0 (F1={f1[k]}, F2={f2[k]})")
         if mismatch[k]:
             out.append(
-                f"equality characterization: comparison={comparisons[k].value}, "
+                f"equality characterization: comparison={_BY_SIGN[int(sign[k])].value}, "
                 f"{name}={bool(equal[k])}"
             )
         return out
@@ -357,7 +357,8 @@ def verify_main_inequality(g: Graph, report=None) -> CheckOutcome:
         )
     degree = degree_stack(edge_stack([g]), g.n)
     eps = np.array([report.eps3])
-    lemma = _main_inequality(report.kind, [report.comparison], [report.f1], [report.f2], degree, eps)
+    sign = np.array([_SIGN[report.comparison]])
+    lemma = _main_inequality(report.kind, sign, [report.f1], [report.f2], degree, eps)
     return _single("main_inequality", g, lemma)
 
 
@@ -378,7 +379,7 @@ def _failures(ix: IndexStack) -> list[CheckOutcome]:
         ("edge_lipschitz", _edge_lipschitz(ix.eps3, ix.edges)),
         (
             "main_inequality",
-            _main_inequality(ix.kind, ix.comparisons, ix.f1, ix.f2, ix.degree, ix.eps3),
+            _main_inequality(ix.kind, ix.sign, ix.f1, ix.f2, ix.degree, ix.eps3),
         ),
         ("eccentric_analogue", _eccentric_analogue(ix.n, ix.m, ix.e1.tolist(), ix.e2.tolist())),
     ]
@@ -395,8 +396,7 @@ def _failures(ix: IndexStack) -> list[CheckOutcome]:
 
 def _graph6_of(ix: IndexStack, comparison: Comparison) -> list[str]:
     """graph6 of the chunk's graphs with this comparison, in order."""
-    rows = [k for k, c in enumerate(ix.comparisons) if c is comparison]
-    return graph6_stack(ix.edges[rows], ix.n)
+    return graph6_stack(ix.edges[ix.sign == _SIGN[comparison]], ix.n)
 
 
 def _tree_extremes(n: int, picks: dict, shapes: dict) -> list[CheckOutcome]:

@@ -213,7 +213,7 @@ def test_main_inequality_flags_the_unicyclic_equality_case_both_ways():
     (n, edges), = cyclic_chunks(1, 6, 6)
     ix = fe.indices.index_stack(edges, n)
     constant = (ix.eps3 == ix.eps3[:, :1]).all(axis=1)
-    zero = np.array([c is Comparison.ZERO for c in ix.comparisons])
+    zero = ix.sign == 0
     assert constant.tolist() == zero.tolist() and zero.sum() == 3 and not constant[:3].any()
     assert verify._failures(ix) == []
     cyc = int(np.flatnonzero(constant)[0])
@@ -222,9 +222,9 @@ def test_main_inequality_flags_the_unicyclic_equality_case_both_ways():
     # a constant eps3 given to the third, which keeps its negative comparison
     eps = ix.eps3.copy()
     eps[2] = 3
-    comparisons = list(ix.comparisons)
-    comparisons[0], comparisons[cyc] = Comparison.ZERO, Comparison.NEGATIVE
-    bad = ix._replace(eps3=eps, comparisons=tuple(comparisons))
+    sign = ix.sign.copy()
+    sign[0], sign[cyc] = 0, -1  # zero and negative
+    bad = ix._replace(eps3=eps, sign=sign)
     want = [
         (0, "comparison=zero, eps3_constant=False"),
         (2, "comparison=negative, eps3_constant=True"),

@@ -1,6 +1,7 @@
 """The distance kernels against networkx: the parent recurrence on trees
-in parent order, the bit-parallel BFS on every other stack, and the
-BFS's connectivity errors."""
+in parent order, the min-plus closure on every other stack with at most
+_ORACLE_MAX_N vertices, the bit-parallel BFS on larger ones, and the
+connectivity errors of the last two."""
 
 import random
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import fermatecc as fe
 from fermatecc import ConnectivityError, all_pairs_distances, full_report
 from fermatecc import graph
-from fermatecc.generators import free_tree_chunks
+from fermatecc.generators import cyclic_chunks, free_tree_chunks
 from fermatecc.graph import distance_stack, edge_stack, row_graph
 
 
@@ -118,13 +119,44 @@ PRUFER_TREES = [fe.random_tree(40, seed=s) for s in range(8)]
 
 
 @pytest.mark.parametrize("graphs", [PATH_AND_RELABELLED_PATH, PRUFER_TREES])
-def test_stacks_out_of_parent_order_take_the_bfs(monkeypatch, graphs):
+def test_stacks_out_of_parent_order_skip_the_recurrence(monkeypatch, graphs):
+    # the 12-vertex paths are within the closure's range, the 40-vertex
+    # Pruefer trees above it
     n = graphs[0].n
     edges = edge_stack(graphs)
     assert graph._parent_order(edges, n) is None
-    bfs = _spy(monkeypatch, "_bfs_stack")
+    closure, bfs = _spy(monkeypatch, "_closure_stack"), _spy(monkeypatch, "_bfs_stack")
     d = distance_stack(edges, n)
-    assert len(bfs) == 1
+    assert (len(closure), len(bfs)) == ((1, 0) if n <= graph._ORACLE_MAX_N else (0, 1))
+    for g, dg in zip(graphs, d):
+        assert np.array_equal(dg, _networkx_distances(g))
+
+
+@pytest.mark.parametrize("cyclomatic, max_n", [(1, 11), (2, 10)])
+def test_closure_matches_bfs_and_networkx_on_every_enumerated_chunk(monkeypatch, cyclomatic, max_n):
+    chunks = list(cyclic_chunks(cyclomatic, max_n))
+    bfs = _spy(monkeypatch, "_bfs_stack")
+    stacks = [distance_stack(edges, n) for n, edges in chunks]
+    assert not bfs
+    for (n, edges), d in zip(chunks, stacks):
+        assert d.dtype == np.int32 and np.array_equal(d, graph._bfs_stack(edges, n))
+        for row, dg in zip(edges, d):
+            assert np.array_equal(dg, _networkx_distances(row_graph(row, n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=28),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_closure_matches_bfs_and_networkx_on_random_graphs(n, chords, seed):
+    # three graphs with equal n and m, so the stack has a graph axis
+    extra = min(chords, (n - 1) * (n - 2) // 2)
+    graphs = [fe.random_connected(n, seed=seed + i, extra_edges=extra) for i in range(3)]
+    edges = edge_stack(graphs)
+    d = graph._closure_stack(edges, n)
+    assert d.dtype == np.int32 and np.array_equal(d, graph._bfs_stack(edges, n))
     for g, dg in zip(graphs, d):
         assert np.array_equal(dg, _networkx_distances(g))
 
@@ -146,6 +178,10 @@ TWO_TRIANGLES = fe.make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)
 def test_disconnected_graphs_raise(g):
     with pytest.raises(ConnectivityError, match="distances require a connected graph"):
         all_pairs_distances(g)
+    # the closure and the BFS refuse it with the same message
+    for kernel in (graph._closure_stack, graph._bfs_stack):
+        with pytest.raises(ConnectivityError, match="^distances require a connected graph$"):
+            kernel(edge_stack([g]), g.n)
     for path in (fe.eps3_oracle, fe.eps3_pruned, fe.eps3_profile, full_report):
         with pytest.raises(ConnectivityError):
             path(g)
@@ -155,14 +191,14 @@ def test_disconnected_graphs_raise(g):
         distance_stack(edge_stack(stack), g.n)
 
 
-def test_forest_shaped_rows_take_the_bfs(monkeypatch):
+def test_forest_shaped_rows_take_the_closure(monkeypatch):
     # m = n - 1, but vertex 2 has two smaller neighbours and 3 has none;
     # alone, or stacked after a path in parent order
-    bfs = _spy(monkeypatch, "_bfs_stack")
+    closure = _spy(monkeypatch, "_closure_stack")
     for stack in ([TRIANGLE_AND_VERTEX], [fe.path(4), TRIANGLE_AND_VERTEX]):
         with pytest.raises(ConnectivityError, match="distances require a connected graph"):
             distance_stack(edge_stack(stack), 4)
-    assert len(bfs) == 2
+    assert len(closure) == 2
 
 
 def test_eps3_tree_rejects_a_forest_shaped_graph():

@@ -396,9 +396,11 @@ def test_sum_dtype_is_the_narrowest_that_holds_top(top, dtype):
 
 @pytest.mark.parametrize("sources", [1, 3])
 def test_oracle_agrees_with_small_source_blocks(sources, monkeypatch):
-    # values and witnesses must not depend on how the sources are blocked;
-    # with P = n(n+1)/2 pairs, a table of n^2 P entries holds one whole
-    # graph and one of k * n P entries holds k sources
+    # values and witnesses must not depend on how the work is blocked;
+    # with P = n(n+1)/2 pairs, a table of n^2 P entries takes the sorted
+    # triples in a few blocks of c, and one of k * n P entries, k the
+    # sources a table once held, cuts them into as many blocks as that
+    # allows, down to one c each
     graphs = [fe.random_connected(2 + seed % 19, seed=seed, extra_edges=seed % 5) for seed in range(40)]
     graphs += [fe.path(2), fe.random_tree(17, seed=1)]
     for g in graphs:
@@ -410,15 +412,45 @@ def test_oracle_agrees_with_small_source_blocks(sources, monkeypatch):
 
 
 def test_oracle_stack_blocks_agree_with_single_graphs(monkeypatch):
-    # five graphs with equal n and m, two whole graphs per block: blocks of
-    # 2, 2 and 1 must give each graph's own values and witnesses
+    # five graphs with equal n and m, two whole graphs per block (their
+    # pair sums take n P entries each): blocks of 2, 2 and 1 must give
+    # each graph's own values and witnesses
     graphs = [fe.random_connected(9, seed=seed, extra_edges=3) for seed in range(5)]
     d = np.stack([all_pairs_distances(g) for g in graphs])
     singles = [fe.fermat._oracle_eps3(dg[None], witnesses=True) for dg in d]
-    monkeypatch.setattr(fe.fermat, "_TABLE", 2 * 9**2 * (9 * 10 // 2))
+    monkeypatch.setattr(fe.fermat, "_TABLE", 2 * 9 * (9 * 10 // 2))
     eps, arg = fe.fermat._oracle_eps3(d, witnesses=True)
     assert eps.tolist() == [e[0].tolist() for e, _ in singles]
     assert arg.tolist() == [a[0].tolist() for _, a in singles]
+
+
+def _ordered_triple_eps3(d):
+    """eps3 and the row-major index v * n + w of the first maximising
+    ordered pair (v, w) of each vertex, for a (K, n, n) distance stack,
+    from the Fermat distance of every ordered triple, graph by graph."""
+    k, n = d.shape[:2]
+    eps, arg = np.empty((k, n), dtype=np.int64), np.empty((k, n), dtype=np.intp)
+    for j, dj in enumerate(d.astype(np.int64)):
+        f = (dj[:, :, None, None] + dj[:, None, :, None] + dj[:, None, None, :]).min(axis=0)  # f[u, v, w]
+        eps[j], arg[j] = f.reshape(n, n * n).max(axis=1), f.reshape(n, n * n).argmax(axis=1)
+    return eps, arg
+
+
+@pytest.mark.parametrize("table", [None, 3000], ids=["table", "small-table"])
+@pytest.mark.parametrize("cyclomatic, max_n", [(1, 11), (2, 10)])
+def test_stacked_oracle_matches_every_ordered_triple(monkeypatch, cyclomatic, max_n, table):
+    # every enumerated chunk as the sweeps analyse it: the closure's
+    # graph-innermost distance stack, whole.  A table of 3000 entries cuts
+    # the chunks to 24 graphs at n = 11, the graphs into blocks of 4 and
+    # the triples into many blocks of c
+    if table:
+        monkeypatch.setattr(fe.fermat, "_TABLE", table)
+    for n, edges in fe.generators.cyclic_chunks(cyclomatic, max_n):
+        d = fe.graph.distance_stack(edges, n)
+        eps, arg = fe.fermat._oracle_eps3(d, witnesses=True)
+        want_eps, want_arg = _ordered_triple_eps3(d)
+        assert np.array_equal(eps, want_eps) and np.array_equal(arg, want_arg), n
+        assert np.array_equal(fe.fermat.eps3_stack(edges, d), eps)
 
 
 def _brute_force_profile(g):

@@ -2,6 +2,7 @@
 
 import inspect
 
+import numpy as np
 import pytest
 
 import fermatecc as fe
@@ -62,6 +63,19 @@ def test_comparison_uses_exact_integers():
     assert compare_averages(3, 3, big, big) is Comparison.ZERO
     assert compare_averages(3, 3, big, big + 1) is Comparison.POSITIVE
     assert compare_averages(3, 3, big + 1, big) is Comparison.NEGATIVE
+
+
+@pytest.mark.parametrize("top", [2**60 // 3, 2**60, 2**62], ids=["int64", "python-2^60", "python-2^62"])
+def test_stack_signs_stay_exact(top):
+    # 3 * (2^60 // 3) keeps both products below 2^62, so the signs come
+    # from int64; 3 * 2^60 and 3 * 2^62 do not, and at 2^62 int64 would wrap
+    from fermatecc.indices import _signs
+
+    f1 = np.array([top, top, top - 1, top, 0], dtype=np.int64)
+    f2 = np.array([top, top - 1, top, 0, 0], dtype=np.int64)
+    want = [compare_averages(3, 3, a, b) for a, b in zip(f1.tolist(), f2.tolist())]
+    got = _signs(3, 3, f1, f2)
+    assert [{-1: Comparison.NEGATIVE, 0: Comparison.ZERO, 1: Comparison.POSITIVE}[s] for s in got.tolist()] == want
 
 
 def test_full_report_supplied_d_identical():

@@ -199,6 +199,23 @@ def test_tree_sweep_runs_no_bfs(monkeypatch):
     assert summary.passed and summary.instance_count == sum((1, 1, 2, 3, 6, 11, 23, 47, 106))
 
 
+def test_cyclic_claims_run_no_bfs(monkeypatch):
+    # every enumerated cyclic class with at most _ORACLE_MAX_N vertices
+    # takes the min-plus closure, so a unicyclic sweep and the bicyclic
+    # search never reach the bit-parallel BFS
+    import fermatecc.graph
+
+    def refuse(*args):
+        raise AssertionError("a cyclic claim ran the bit-parallel BFS")
+
+    monkeypatch.setattr(fermatecc.graph, "_level_planes", refuse)
+    unicyclic = sweep_class(GraphKind.UNICYCLIC, range(3, 11))
+    assert unicyclic.passed and unicyclic.instance_count == sum((1, 2, 5, 13, 33, 89, 240, 657))
+    search = search_counterexample("exhaustive-small", budget=1125, max_n=9)
+    assert search.instance_count == sum((1, 5, 19, 67, 236, 797))
+    assert (len(search.positive_instances), len(search.negative_instances)) == (0, 1070)
+
+
 def test_sweep_tree_extremes_names_the_extremal_tree(monkeypatch):
     import fermatecc.indices
     import fermatecc.verify
