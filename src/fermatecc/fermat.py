@@ -76,7 +76,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError
-from .graph import _ORACLE_MAX_N, Graph, bfs_tree, distance_matrix, eccentricities, row_graph
+from .graph import _ORACLE_MAX_N, Graph, _sum_dtype, bfs_tree, distance_matrix, eccentricities, row_graph
 
 
 class FermatWitness(NamedTuple):
@@ -363,21 +363,6 @@ _BLOCK = 64
 _LANDMARKS = 8
 
 
-def _sum_dtype(top: int) -> type:
-    """The narrowest signed integer type that holds every value in 0..top.
-
-    eps3_pruned sums at most three distances plus one, so top = 3 diam + 1
-    picks int8 up to diameter 42 and int16 up to diameter 10922; the
-    oracle sums three distances, top = 3 diam, with the same limits.
-    """
-    for t in (np.int8, np.int16):
-        if top <= np.iinfo(t).max:
-            return t
-    # 3 diam + 1 overflows int32 only past n = 7 * 10^8 vertices, far beyond
-    # any n x n distance matrix that fits in memory
-    return np.int32
-
-
 def _pair_ends_and_hubs(g: Graph) -> tuple[list[int], list[int]]:
     """The pair ends S and the hubs of g (lemmas A and B, module docstring).
 
@@ -584,23 +569,55 @@ def _pruned(g: Graph, d: np.ndarray) -> FermatProfile:
     return FermatProfile(eps3=tuple(eps.tolist()), pair_evaluations=evals)
 
 
-def _tree_eps3(d: np.ndarray) -> np.ndarray:
-    """eps3 of each tree in a (K, n, n) distance stack, as a (K, n) array.
+def _sweep_ends(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The double sweep of each tree of a (K, n, n) distance stack, in any
+    memory order: a, the first farthest vertex from 0, b, the first
+    farthest from a, as (K,) arrays, and their rows as (n, K) arrays,
+    da[w, k] = d(a, w) of tree k."""
+    t = d.transpose(1, 2, 0)  # graph-innermost, t[u, w, k] = d(u, w) of tree k
+    trees = np.arange(t.shape[2])
+    a = t[0].argmax(axis=0)  # argmax picks the smallest id among ties
+    da = t[a, :, trees].T
+    b = da.argmax(axis=0)
+    return a, b, da, t[b, :, trees].T
+
+
+def _tree_eps3(d: np.ndarray, ends: tuple | None = None) -> np.ndarray:
+    """eps3 of each tree in a (K, n, n) distance stack, as a (K, n) array
+    in d's type, from its double sweep's ends (_sweep_ends where ends is
+    None).
 
     On a tree the Fermat distance equals half the pairwise-distance
     perimeter, and a farthest vertex from u can always serve as one of
-    the two maximisers, so eps3(u) is a single O(n) scan per vertex.
+    the two maximisers.  One of the sweep's ends a and b is farthest from
+    every u (Handler, "Minimax location of a facility in an undirected
+    tree graph", 1973).  A farthest vertex from any vertex ends a longest
+    path, so D = d(a, b) is the diameter.  Let f be u's foot on the a-b
+    path and x any vertex, with foot g; say g lies between f and b.  Then
+    d(g, x) <= d(g, b), or d(a, x) = d(a, g) + d(g, x) would exceed D, so
+    d(u, x) <= d(u, f) + d(f, g) + d(g, b) = d(u, b); with g between a
+    and f, d(u, x) <= d(u, a) the same way.  So
+
+        eps3(u) = max over x in {a, b} of (d(u, x) + max_w (d(x, w) + d(u, w))) / 2,
+
+    each term being some F(u, x, w) <= eps3(u).  That is two broadcast
+    sums over the graph-innermost table and two maxima over its middle
+    axis.  Every sum is at most 3 (n - 1), which d's type holds when it
+    comes from the tree table (graph._sum_dtype).
     """
-    far = d.argmax(axis=2)  # the first farthest vertex from each u
-    # perims[k, u, w] = d(far, w) + d(u, w) + d(u, far), summed in place
-    perims = d[np.arange(len(d))[:, None], far]
-    perims += d
-    perims += np.take_along_axis(d, far[:, :, None], axis=2)
-    return perims.max(axis=2) // 2  # tree perimeters are even
+    da, db = (_sweep_ends(d) if ends is None else ends)[2:]
+    t = d.transpose(1, 2, 0)
+    sums = np.empty(t.shape, dtype=t.dtype)
+    far = []
+    for dx in (da, db):
+        np.add(t, dx[None], out=sums)  # sums[u, w, k] = d(u, w) + d(x, w)
+        far.append(sums.max(axis=1) + dx)  # d is symmetric: d(u, x) = d(x, u)
+    return (np.maximum(*far) // 2).T  # tree perimeters are even
 
 
 def eps3_tree(g: Graph, d: np.ndarray | None = None) -> FermatProfile:
-    """Tree fast path: fix one eccentric endpoint, scan the second (see _tree_eps3)."""
+    """Tree fast path: fix each end of the double sweep, scan the second
+    vertex (see _tree_eps3)."""
     if g.m != g.n - 1:  # a connected graph is a tree iff m = n - 1
         raise PreconditionError("eps3_tree requires a tree")
     return FermatProfile(eps3=tuple(_tree_eps3(distance_matrix(g, d)[None])[0].tolist()))
@@ -616,12 +633,19 @@ def eps3_stack(edges: np.ndarray, d: np.ndarray) -> np.ndarray:
     index computation builds one.  d is trusted: distance_stack has raised on any
     disconnected row, so the kernel skips distance_matrix's check.
     """
+    return _eps3_stack(edges, d, None)
+
+
+def _eps3_stack(edges: np.ndarray, d: np.ndarray, graphs) -> np.ndarray:
+    """eps3_stack, with graphs the rows' Graphs where the caller holds
+    them (else None), which the pruned kernel then takes as they are."""
     n = d.shape[1]
     if edges.shape[1] == n - 1:
         return _tree_eps3(d)
     if n <= _ORACLE_MAX_N:
         return _oracle_eps3(d)[0]
-    graphs = (row_graph(row, n) for row in edges)
+    if graphs is None:
+        graphs = (row_graph(row, n) for row in edges)
     return np.array([_pruned(g, dg).eps3 for g, dg in zip(graphs, d)], dtype=np.int64)
 
 

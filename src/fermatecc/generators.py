@@ -546,44 +546,38 @@ class DecorationStack(NamedTuple):
         )
 
 
-def _path_ends(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ends a < b of the double-BFS path of each tree of a (K, n, n) stack."""
-    # argmax picks the smallest id among ties
-    a = d[:, 0].argmax(axis=1)
-    b = d[np.arange(len(d)), a].argmax(axis=1)
-    # a path and its reverse differ in their first vertex, so starting at
-    # the smaller end reads the lexicographically smaller of the two
-    return np.minimum(a, b), np.maximum(a, b)
-
-
 def check_path_rows(t: Graph, d: np.ndarray) -> None:
     """Spot-check a supplied d against t's own distances on the two rows a
     decoration is read from.
 
     The other rows are checked only when a decoration invariant fails.
     """
-    for r in _path_ends(d[None]):
+    for r in fermat._sweep_ends(d[None])[:2]:
         if not np.array_equal(d[r[0]], bfs_distances(t, int(r[0]))):
             raise PreconditionError("d is not the distance matrix of the tree")
 
 
-def double_sweep(edges: np.ndarray, d: np.ndarray, ecc: np.ndarray):
+def double_sweep(edges: np.ndarray, d: np.ndarray, ecc: np.ndarray, ends: tuple | None = None):
     """(length, foot, hang, center) of each tree's double-BFS path, read off
     rows a and b of the (K, n, n) distance stack d, with ecc the trees'
-    (K, n) eccentricities.
+    (K, n) eccentricities and ends d's fermat._sweep_ends where the caller
+    has them.
 
     With a the first farthest vertex from 0, b the first farthest from a
     and D = d(a, b), vertex v meets the a-b path (d(a, v) + D - d(b, v)) / 2
-    from a and hangs (d(a, v) + d(b, v) - D) / 2 below it.  Both
-    invariants, D equal to the diameter and every centre on the path, are
-    checked; a failure is a bug when d holds the trees' own distances.
+    from a and hangs (d(a, v) + d(b, v) - D) / 2 below it.  The path is
+    read from its smaller end: a path and its reverse differ in their
+    first vertex, so that reads the lexicographically smaller of the two.
+    Both invariants, D equal to the diameter and every centre on the
+    path, are checked; a failure is a bug when d holds the trees' own
+    distances.
     """
-    rows = np.arange(len(d))
-    a, b = _path_ends(d)
-    da, db = d[rows, a], d[rows, b]
-    length = da[rows, b]
-    foot = (da + length[:, None] - db) // 2
-    hang = (da + db - length[:, None]) // 2
+    a, b, da, db = fermat._sweep_ends(d) if ends is None else ends
+    length = da[b, np.arange(len(b))]
+    # feet count from the smaller end: where b < a, D minus the distance
+    # from a, which is |foot - D| as no foot lies beyond D
+    foot = np.abs((da + length - db) // 2 - length * (a > b)).T
+    hang = ((da + db - length) // 2).T
     diameter = ecc.max(axis=1)
     center = ecc == ecc.min(axis=1)[:, None]
     bad = np.flatnonzero((length != diameter) | (center & (hang != 0)).any(axis=1))

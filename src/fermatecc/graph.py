@@ -5,10 +5,13 @@ Every distance matrix comes from distance_stack on a stack of graphs at
 once; distance_matrix runs it on a stack of one, and all_pairs_distances
 widens that to int64.  A stack of trees in parent order (each vertex
 v >= 1 has exactly one smaller neighbour, as the tree enumerator labels
-them) takes a recurrence, row v its parent's row plus one; every other
-stack with at most _ORACLE_MAX_N vertices takes a min-plus closure laid
-out graph-innermost, and a larger one a bit-parallel BFS from all
-sources.  bfs_distances is one BFS from one source.
+them) takes a recurrence, row v its parent's row plus one, into an
+(n, n, K) table with the graph axis innermost, int8 up to n = 43
+(_tree_stack); every other stack with at most _ORACLE_MAX_N vertices
+takes a min-plus closure laid out the same way, and a larger one a
+bit-parallel BFS from all sources.  distance_stack widens every path to
+int32; the sweeps' tree chunks keep the narrow table.  bfs_distances is
+one BFS from one source.
 graph6 strings (McKay's six-bit format) are encoded and decoded natively.
 
 Every per-graph function that takes a distance matrix d (the four eps3
@@ -353,24 +356,43 @@ def _parent_order(edges: np.ndarray, n: int) -> np.ndarray | None:
     return parent if (parent[:, 1:] < np.arange(1, n)).all() else None
 
 
-def _tree_distances(parent: np.ndarray) -> np.ndarray:
-    """(K, n, n) int32 distances of K trees in parent order.
+def _sum_dtype(top: int) -> type:
+    """The narrowest signed integer type that holds every value in 0..top.
+
+    The tree table takes top = 3 (n - 1), its eps3 kernel's largest sum:
+    int8 up to n = 43.  fermat.eps3_pruned sums at most three distances
+    plus one, top = 3 diam + 1, and the oracle three distances, top =
+    3 diam: int8 up to diameter 42 and int16 up to diameter 10922.
+    """
+    for t in (np.int8, np.int16):
+        if top <= np.iinfo(t).max:
+            return t
+    # 3 diam + 1 overflows int32 only past n = 7 * 10^8 vertices, far beyond
+    # any n x n distance matrix that fits in memory
+    return np.int32
+
+
+def _tree_stack(edges: np.ndarray, n: int) -> np.ndarray | None:
+    """(K, n, n) distances of a stack of trees in parent order, else None:
+    a view of an (n, n, K) table, the graph axis innermost, in the
+    narrowest type that holds 3 (n - 1) (_sum_dtype).
 
     The path from x < v to 0 only steps down, so it misses v, and the
     path from v to x leaves v through its parent p: d(v, x) = d(p, x) + 1.
     Step v writes d(v, x) for x < v into row v and column v, so before
     it row p already holds every entry below v, and the step is one
-    gather of row p's first v entries and one add, over all K trees.
+    gather of row p's first v entries, graph by graph through flat
+    positions, and one add, over all K trees.
     """
-    k, n = parent.shape
-    d = np.zeros((k, n, n), dtype=np.int32)
-    rows = np.arange(k)
+    if edges.shape[1] != n - 1 or (parent := _parent_order(edges, n)) is None:
+        return None
+    k = len(edges)
+    d = np.zeros((n, n, k), dtype=_sum_dtype(3 * (n - 1)))
+    at = parent.T * (n * k) + np.arange(k)  # at[v, j]: where row parent(v) of graph j starts
+    cols = (np.arange(n) * k)[:, None]
     for v in range(1, n):
-        row = d[rows, parent[:, v], :v]
-        row += 1
-        d[:, v, :v] = row
-        d[:, :v, v] = row
-    return d
+        d[:v, v] = np.add(d.take(at[v] + cols[:v]), 1, out=d[v, :v])
+    return d.transpose(2, 0, 1)
 
 
 # Stacks up to this size that are not trees in parent order take
@@ -414,17 +436,17 @@ def distance_stack(edges: np.ndarray, n: int) -> np.ndarray:
 
     A stack of trees in parent order (m = n - 1, and in every row each
     vertex v >= 1 is the second end of exactly one edge, whose first end
-    is smaller) takes the parent recurrence, _tree_distances: n - 1
+    is smaller) takes the parent recurrence, _tree_stack: n - 1
     vectorised steps and no BFS.  Against the BFS's one level per unit of
     diameter it is slower only on shallow trees with many vertices, such
     as a large star.  Every other stack with at most _ORACLE_MAX_N
     vertices takes the min-plus closure, _closure_stack, and larger ones
-    take _bfs_stack.  Every path returns int32; the closure's is a view
-    whose graph axis is innermost in memory, the layout the oracle works
-    in (astype keeps that order, so its transpose back is a view).
+    take _bfs_stack.  Every path returns int32: the recurrence's and the
+    closure's are views of their narrow (n, n, K) tables widened, the
+    graph axis still innermost (astype keeps the order).
     """
-    if edges.shape[1] == n - 1 and (parent := _parent_order(edges, n)) is not None:
-        return _tree_distances(parent)
+    if (d := _tree_stack(edges, n)) is not None:
+        return d.astype(np.int32)
     if n <= _ORACLE_MAX_N:
         return _closure_stack(edges, n)
     return _bfs_stack(edges, n)
@@ -454,8 +476,9 @@ def _bfs_stack(edges: np.ndarray, n: int) -> np.ndarray:
 
 def edge_ends(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """(K, m, 2) values of a (K, n) vertex array at the two ends of every edge."""
-    k, m = edges.shape[:2]
-    return np.take_along_axis(x, edges.reshape(k, 2 * m), axis=1).reshape(k, m, 2)
+    k, n = x.shape
+    # flat positions: np.take reads x in C order, whatever its layout
+    return np.take(x, edges + (n * np.arange(k)).reshape(k, 1, 1))
 
 
 def degree_stack(edges: np.ndarray, n: int) -> np.ndarray:

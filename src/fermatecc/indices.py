@@ -3,16 +3,17 @@
 F1/F2 use Fermat eccentricities, E1/E2 ordinary eccentricities, Z1/Z2
 vertex degrees.  index_stack computes all six for a (K, m, 2) edge stack
 of graphs with equal n and m in one set of array reductions: eps3 by
-fermat.eps3_stack, which builds a Graph only for a row the pruned
-kernel takes, eccentricities as row maxima of the distance stack,
-degrees and edge sums by indexing the edge stack, from which the
-distance stack itself comes when none is supplied.  The sweeps and
-search exhaustive-small hand it the enumerators' edge-array chunks
-directly; index_chunks cuts any other Graph stream (the family grid,
-witness files) into chunks of the same size, at most fermat._TABLE
-distance entries each, so each list the package analyses is held a
-chunk at a time.  A single graph is a chunk of one: full_report runs
-the same code on a stack of one.  The comparison of F2/m against F1/n
+the tree kernel on trees, else by fermat.eps3_stack, which builds a
+Graph only for a row the pruned kernel takes and the caller holds no
+Graph of, eccentricities as row maxima of the distance stack, degrees
+and edge sums by indexing the edge stack, from which the distance
+stack itself comes when none is supplied.  The sweeps and search
+exhaustive-small hand it the enumerators' edge-array chunks directly;
+index_chunks cuts any other Graph stream (the family grid, witness
+files) into chunks of the same size, at most fermat._TABLE distance
+entries each, so each list the package analyses is held a chunk at a
+time.  A single graph is a chunk of one: full_report runs the same
+code on a stack of one.  The comparison of F2/m against F1/n
 is decided by the sign of the integer n*F2 - m*F1, exact and never in
 floats: on a stack it is taken on the F1/F2 arrays (_signs), and a
 Comparison is built only for a reported row.
@@ -26,10 +27,11 @@ import numpy as np
 
 from . import fermat
 from .errors import PreconditionError
-from .fermat import eps3_stack
+from .fermat import _eps3_stack, _sweep_ends, _tree_eps3
 from .graph import (
     Graph,
     GraphKind,
+    _tree_stack,
     cyclomatic_kind,
     degree_stack,
     distance_matrix,
@@ -99,6 +101,7 @@ class IndexStack(NamedTuple):
     kind: GraphKind
     edges: np.ndarray  # (K, m, 2)
     d: np.ndarray  # (K, n, n) distances
+    ends: tuple | None  # fermat._sweep_ends on trees, else None
     ecc: np.ndarray  # (K, n) eccentricities
     eps3: np.ndarray  # (K, n)
     degree: np.ndarray  # (K, n)
@@ -130,15 +133,24 @@ class IndexStack(NamedTuple):
 def index_stack(edges: np.ndarray, n: int, d: np.ndarray | None = None) -> IndexStack:
     """All six indices and the comparison of the K connected graphs of a
     (K, m, 2) edge stack on n vertices, from their (K, n, n) distance
-    stack d.  With d None the distances come from distance_stack on the
-    same edge stack.  Every per-graph step runs on the rows; eps3_stack
-    builds a Graph only for the rows its pruned kernel takes."""
+    stack d.  With d None the distances come from the same edge stack:
+    trees in parent order keep the recurrence's narrow table
+    (graph._tree_stack), any other stack takes distance_stack.  On trees
+    eps3 and the double sweep read the same two rows
+    (fermat._sweep_ends).  Every per-graph step runs on the rows."""
+    return _index_stack(edges, n, d, None)
+
+
+def _index_stack(edges: np.ndarray, n: int, d: np.ndarray | None, graphs) -> IndexStack:
+    """index_stack, with graphs the rows' Graphs where the caller holds
+    them (else None), for the pruned kernel (fermat._eps3_stack)."""
     m = edges.shape[1]
     if m == 0:
         raise PreconditionError("the comparison needs at least one edge")
-    if d is None:
+    if d is None and (d := _tree_stack(edges, n)) is None:
         d = distance_stack(edges, n)
-    eps = eps3_stack(edges, d)
+    ends = _sweep_ends(d) if m == n - 1 else None
+    eps = _eps3_stack(edges, d, graphs) if ends is None else _tree_eps3(d, ends)
     degree = degree_stack(edges, n)
     f1, f2 = _zagreb(eps, edges)
     ecc = eccentricities(d)
@@ -150,6 +162,7 @@ def index_stack(edges: np.ndarray, n: int, d: np.ndarray | None = None) -> Index
         kind=cyclomatic_kind(m - n + 1),
         edges=edges,
         d=d,
+        ends=ends,
         ecc=ecc,
         eps3=eps,
         degree=degree,
@@ -168,16 +181,18 @@ def index_chunks(graphs) -> Iterator[tuple[list[Graph], IndexStack]]:
     IndexStack): each run of equal (n, m) cut into chunks whose (K, n, n)
     distance stack holds at most fermat._TABLE entries (at least one
     graph), the cut the enumerators' edge-array chunks make.  Only the
-    chunk's edge stack is analysed; the Graphs are handed back as given."""
+    chunk's edge stack and, in the pruned kernel, its Graphs are
+    analysed; the Graphs are handed back as given."""
     for (n, _), run in groupby(graphs, key=lambda g: (g.n, g.m)):
         size = max(1, fermat._TABLE // (n * n))
         for chunk in iter(lambda: list(islice(run, size)), []):
-            yield chunk, index_stack(edge_stack(chunk), n)
+            yield chunk, _index_stack(edge_stack(chunk), n, None, chunk)
 
 
 def full_report(g: Graph, d: np.ndarray | None = None) -> IndexReport:
     """All six indices plus the comparison: index_stack on a stack of one,
-    which computes d from the same edge stack when d is None."""
+    which computes d from the same edge stack when d is None; the pruned
+    kernel takes g itself."""
     if d is not None:
         d = distance_matrix(g, d)[None]
-    return index_stack(edge_stack([g]), g.n, d).report(0)
+    return _index_stack(edge_stack([g]), g.n, d, [g]).report(0)

@@ -6,15 +6,17 @@ n and m: edge-Lipschitz, the main inequality with its equality case
 eccentric analogue and the diametral-path lemmas.  A lemma function
 returns every graph's failure flag and a formatter of one graph's
 problems.  Sweeps take the enumerator's edge-array chunks one level at
-a time, through indices.index_stack: each chunk's distance stack from
-the parent recurrence for trees and from one bit-parallel BFS over all
-its graphs otherwise, then the indices and every lemma as array
-reductions over the chunk, so a level is never held whole.  The
+a time, through indices.index_stack: each chunk's distances from the
+parent recurrence for trees, from the min-plus closure for other stacks
+of at most 28 vertices and from one bit-parallel BFS over all its graphs
+above, then the indices and every lemma as array reductions over the
+chunk, so a level is never held whole.  The
 per-graph check_* functions run the same lemma functions on a stack of
 one, so their details are the sweep's, byte for byte.
 
 A tree chunk checks the diametral-path lemmas through one closed form.
-On the double-sweep path v_0..v_D, with foot i(u), hang h(u),
+On the double-sweep path v_0..v_D, whose two ends' rows eps3 read
+already (IndexStack.ends), with foot i(u), hang h(u),
 near(u) = min(i(u), D - i(u)), ell the largest interior hang and
 c = eps3(v_ell), the six eps3 lemmas hold exactly when eps3(u) =
 h(u) + c + max(0, ell - near(u)) for every u: the form meets each, and
@@ -256,14 +258,14 @@ def _off_closed_form(eps: np.ndarray, length: np.ndarray, foot: np.ndarray, hang
     the closed form, whose residual eps3 - h - max(0, ell - near) is c at
     v_ell and so constant on the row, or a hang the depth bound."""
     near = np.minimum(foot, length[:, None] - foot)
-    ell = np.where(near > 0, hang, 0).max(axis=1, keepdims=True)
+    ell = (hang * (near > 0)).max(axis=1, keepdims=True)
     residual = eps - hang - np.maximum(ell - near, 0)
     return ((residual != residual[:, :1]) | (hang > near)).any(axis=1)
 
 
 def _tree_lemmas(ix: IndexStack):
     """_diametral_lemmas on the trees of a chunk _off_closed_form flags; the others pass."""
-    rows = np.flatnonzero(_off_closed_form(ix.eps3, *double_sweep(ix.edges, ix.d, ix.ecc)[:3]))
+    rows = np.flatnonzero(_off_closed_form(ix.eps3, *double_sweep(ix.edges, ix.d, ix.ecc, ix.ends)[:3]))
     bad = np.zeros(len(ix.edges), dtype=bool)
     if not rows.size:
         return bad, None

@@ -197,6 +197,36 @@ def test_closed_form_flags_exactly_the_trees_the_lemmas_fail():
     assert messages == {"symmetry:", "monotonicity", "center", "middle-segment", "outer-segment", "subtree"}
 
 
+def _path_end_sweep(d, ecc):
+    """double_sweep's fields read straight off rows min(a, b) and
+    max(a, b) of a C-order stack, the reference for the shared rows."""
+    rows = np.arange(len(d))
+    a = d[:, 0].argmax(axis=1)
+    b = d[rows, a].argmax(axis=1)
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    da, db = d[rows, a], d[rows, b]
+    length = da[rows, b]
+    foot = (da + length[:, None] - db) // 2
+    hang = (da + db - length[:, None]) // 2
+    return length, foot, hang, ecc == ecc.min(axis=1)[:, None]
+
+
+def test_shared_row_sweep_equals_the_path_end_sweep_on_every_tree_to_14():
+    swapped = 0
+    for n, edges in free_tree_chunks(14, 2):
+        ix = fe.indices.index_stack(edges, n)
+        wide = np.ascontiguousarray(ix.d, dtype=np.int32)
+        want = _path_end_sweep(wide, ix.ecc)
+        for ends in (ix.ends, None):
+            got = double_sweep(edges, ix.d, ix.ecc, ends)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want)), n
+        assert all(np.array_equal(x, y) for x, y in zip(double_sweep(edges, wide, ix.ecc), want)), n
+        a, b = ix.ends[:2]
+        swapped += int((a > b).sum())
+    # the trees whose path is read from b, the smaller end
+    assert swapped > 1000
+
+
 def test_closed_form_flags_a_hang_beyond_the_depth_bound():
     # the star K_{1,3} on the path 0-1-2 passes; the same frame with vertex
     # 3 hanging 2 below v_1, which no tree of diameter 2 has, fits the form
@@ -339,7 +369,10 @@ def test_level_analysis_memory_is_bounded_by_the_table(monkeypatch):
             tracemalloc.stop()
             assert summary.instance_count == 551 and summary.passed
 
-    bound = 16 * 8 * table  # bytes: a few int64 arrays of the table's size
+    # bytes: a few int64 arrays of the table's size.  A tree chunk's
+    # distances are one int8 table, so the whole level (551 * 144 entries)
+    # peaks at about 400 KB and a chunked run at about 70 KB
+    bound = 8 * 8 * table
     assert peak(table) < bound
     # the bound is tight enough to see a level analysed whole
     assert peak(1 << 20) > bound

@@ -164,8 +164,8 @@ CORPUS = [
     # .github/workflows/tests.yml
     ["compute", "--input", "path130.txt", "--output", "path130.json"],
     ["verify", "tree", "2..8"],
-    ["verify", "tree", "2..17", "--force", "--output", "trees.json"],
-    ["verify", "unicyclic", "3..13", "--force", "--output", "unicyclic.json"],
+    ["verify", "tree", "2..18", "--force", "--output", "trees.json"],
+    ["verify", "unicyclic", "3..14", "--force", "--output", "unicyclic.json"],
     ["search", "exhaustive-small", "--max-n", "12", "--budget", "41544", "--output", "bicyclic.json"],
     ["search", "exhaustive-small", "--max-n", "10", "--budget", "3803", "--witness-dir", "wit"],
     ["search", "exhaustive-small", "--max-n", "80", "--budget", "5"],

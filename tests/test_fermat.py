@@ -544,3 +544,82 @@ def test_pruned_rejects_another_graphs_d():
     # unchecked, path(8)'s matrix gave cycle(6) eps3 (5,) * 6, not (4,) * 6
     with pytest.raises(PreconditionError, match=r"of shape \(6, 6\), got \(8, 8\)"):
         eps3_pruned(fe.cycle(6), all_pairs_distances(fe.path(8)))
+
+
+# ---------------------------------------------------------------------------
+# the tree kernel on the sweep ends' rows, read off the narrow
+# graph-innermost table the parent recurrence fills
+
+
+def _far_vertex_eps3(d):
+    """The far-vertex tree kernel, the reference for the two sweep ends'
+    rows: per vertex u, its first farthest vertex f and the perimeters
+    through f."""
+    far = d.argmax(axis=2)
+    perims = d[np.arange(len(d))[:, None], far]
+    perims += d
+    perims += np.take_along_axis(d, far[:, :, None], axis=2)
+    return perims.max(axis=2) // 2
+
+
+def _parent_ordered(g):
+    """g relabelled by BFS from 0, so that every vertex but 0 has one smaller neighbour."""
+    order, parent = fe.graph.bfs_tree(g)
+    label = {v: i for i, v in enumerate(order)}
+    return fe.make_graph(g.n, [(label[parent[v]], label[v]) for v in order[1:]])
+
+
+def test_tree_kernel_equals_the_oracle_on_every_tree_to_14():
+    for n, edges in fe.generators.free_tree_chunks(14, 2):
+        d = fe.graph._tree_stack(edges, n)
+        wide = d.astype(np.int64)
+        eps = fe.fermat._tree_eps3(d)
+        assert np.array_equal(eps, fe.fermat._oracle_eps3(wide)[0]), n
+        assert np.array_equal(eps, _far_vertex_eps3(wide)), n
+        # the index stack reads the same table, and its ends
+        assert np.array_equal(fe.indices.index_stack(edges, n).eps3, eps), n
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tree_kernel_equals_the_far_vertex_kernel_on_random_trees(seed):
+    rng = np.random.default_rng(seed)
+    for n in (*rng.integers(2, 60, size=4).tolist(), 150, 300):
+        g = _parent_ordered(fe.random_tree(n, seed=seed * 1000 + n))
+        edges = fe.graph.edge_stack([g])
+        d = fe.graph._tree_stack(edges, n)
+        assert d is not None, n
+        wide = all_pairs_distances(g)[None]
+        assert np.array_equal(d, wide), n
+        eps = fe.fermat._tree_eps3(d)
+        assert np.array_equal(eps, _far_vertex_eps3(wide)), n
+        if n <= 40:
+            assert np.array_equal(eps, fe.fermat._oracle_eps3(wide)[0]), n
+
+
+@pytest.mark.parametrize("n, dtype", [(42, np.int8), (43, np.int8), (44, np.int16), (130, np.int16)])
+def test_tree_table_is_the_narrowest_type_at_its_boundary(n, dtype):
+    # every eps3 sum d(u, x) + d(x, w) + d(u, w) is at most 3 (n - 1): 126
+    # at n = 43, the last int8 size, and on a path it is reached.  A path
+    # and a stack of random trees against the int32 distances
+    graphs = [fe.path(n)] if n == 130 else [_parent_ordered(fe.random_tree(n, seed=s)) for s in range(5)]
+    graphs.append(fe.path(n))
+    for g in graphs:
+        edges = fe.graph.edge_stack([g])
+        d = fe.graph._tree_stack(edges, n)
+        assert d.dtype == dtype
+        wide = fe.graph.distance_stack(edges, n)
+        assert wide.dtype == np.int32 and np.array_equal(d, wide)
+        assert np.array_equal(fe.fermat._tree_eps3(d), _far_vertex_eps3(wide))
+        assert fe.full_report(g).eps3 == tuple(_far_vertex_eps3(wide)[0].tolist())
+
+
+def test_tree_kernel_takes_a_callers_c_order_d():
+    for g in (fe.path(9), fe.star(7), fe.random_tree(30, seed=5), fe.random_tree(50, seed=6)):
+        d = all_pairs_distances(g)
+        assert d.flags.c_contiguous
+        assert eps3_tree(g, d).eps3 == eps3_oracle(g).eps3 == eps3_tree(g).eps3
+        assert eps3_tree(g, d.tolist()).eps3 == eps3_oracle(g).eps3
+    # a C-order stack of several trees
+    trees = [fe.random_tree(20, seed=s) for s in range(4)]
+    d = np.stack([all_pairs_distances(t) for t in trees])
+    assert np.array_equal(fe.fermat._tree_eps3(d), _far_vertex_eps3(d))

@@ -151,3 +151,32 @@ def test_a_nested_list_d_of_another_shape_is_rejected(rows, got):
     for f in _takers_of_d():
         with pytest.raises(PreconditionError, match=r"of shape \(5, 5\), got " + got):
             f(fe.path(5), d=rows)
+
+
+def test_the_pruned_kernel_takes_the_callers_graphs(monkeypatch):
+    # above the oracle's range a non-tree row goes to the pruned kernel;
+    # full_report and index_chunks hold the rows' Graphs already, so the
+    # kernel takes those, and only a bare edge stack builds its own
+    graphs = [fe.random_connected(40, seed=s, extra_edges=4) for s in range(3)]
+    want = [fe.eps3_pruned(g) for g in graphs]
+    seen, built = [], []
+    real_pruned, real_row_graph = fe.fermat._pruned, fe.fermat.row_graph
+
+    def pruned(g, d):
+        seen.append(g)
+        return real_pruned(g, d)
+
+    def row_graph(row, n):
+        built.append(n)
+        return real_row_graph(row, n)
+
+    monkeypatch.setattr(fe.fermat, "_pruned", pruned)
+    monkeypatch.setattr(fe.fermat, "row_graph", row_graph)
+    reports = [full_report(g) for g in graphs]
+    assert [r.eps3 for r in reports] == [p.eps3 for p in want]
+    assert all(x is g for x, g in zip(seen, graphs)) and len(seen) == 3 and not built
+    seen.clear()
+    assert [ix.report(0) for _, ix in fe.indices.index_chunks(graphs[:1])] == reports[:1]
+    assert seen[0] is graphs[0] and not built
+    ix = fe.indices.index_stack(fe.graph.edge_stack(graphs[:1]), 40)
+    assert ix.report(0) == reports[0] and built == [40]

@@ -127,7 +127,7 @@ def test_sweep_analyses_each_tree_once(monkeypatch):
     import fermatecc.verify
 
     calls = {"graph6": 0, "apsp": 0}
-    stacks = []  # (n, the graphs' edge lists) of each distance_stack call
+    stacks = []  # (n, the graphs' edge lists) of each tree table built
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -136,7 +136,7 @@ def test_sweep_analyses_each_tree_once(monkeypatch):
 
         return wrapped
 
-    real = fermatecc.indices.distance_stack
+    real = fermatecc.indices._tree_stack
 
     def recording(edges, n):
         stacks.append((n, [e.tobytes() for e in edges]))
@@ -151,15 +151,16 @@ def test_sweep_analyses_each_tree_once(monkeypatch):
     monkeypatch.setattr(fermatecc.verify, "to_graph6", counting("graph6", fermatecc.verify.to_graph6))
     monkeypatch.setattr(fermatecc.verify, "graph6_stack", encoding)
     # every per-graph APSP goes through graph.distance_matrix, which looks
-    # distance_stack up in graph; indices' stacks use its own import of it
+    # distance_stack up in graph; indices builds a tree chunk's table with
+    # its own import of _tree_stack
     monkeypatch.setattr(fermatecc.graph, "distance_stack", counting("apsp", fermatecc.graph.distance_stack))
-    monkeypatch.setattr(fermatecc.indices, "distance_stack", recording)
+    monkeypatch.setattr(fermatecc.indices, "_tree_stack", recording)
     summary = sweep_class(GraphKind.TREE, range(2, 9))
     assert summary.passed
     # graph6 only for the reported (equality) graphs, and no per-graph APSP
     assert calls["graph6"] == len(summary.equality_instances)
     assert calls["apsp"] == 0
-    # one distance_stack call per chunk (each level 2..8 is one chunk),
+    # one tree table per chunk (each level 2..8 is one chunk),
     # whose stack holds every tree of the level exactly once
     assert [(n, len(set(edges))) for n, edges in stacks] == [
         (2, 1), (3, 1), (4, 2), (5, 3), (6, 6), (7, 11), (8, 23)
